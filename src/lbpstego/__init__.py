@@ -3,7 +3,6 @@
 from .analysis import (
     MetricRow,
     PdHistogram,
-    QualityReport,
     RsStatistics,
     bit_rate,
     emit_csv,
@@ -12,7 +11,6 @@ from .analysis import (
     pd_histogram,
     psnr,
     quality_index,
-    quality_report,
     rs_analysis,
 )
 from .baselines import BaselineMethod, baseline_embed, baseline_extract
@@ -41,7 +39,6 @@ __all__ = [
     "NEIGHBOR_OFFSETS",
     "PdHistogram",
     "PgmError",
-    "QualityReport",
     "RsStatistics",
     "StegoParams",
     "baseline_embed",
@@ -59,7 +56,6 @@ __all__ = [
     "pd_histogram",
     "psnr",
     "quality_index",
-    "quality_report",
     "read_pgm",
     "rs_analysis",
     "save_pgm",

@@ -61,20 +61,14 @@ def quality_index(a: GrayImage, b: GrayImage) -> float:
     saa, sbb = _window_sums(pa * pa, Q_WINDOW), _window_sums(pb * pb, Q_WINDOW)
     sab = _window_sums(pa * pb, Q_WINDOW)
 
-    # Degenerate-window logic stays in exact integer arithmetic.
-    vars_zero = (n * saa - sa * sa == 0) & (n * sbb - sb * sb == 0)
-    degenerate = vars_zero | ((sa == 0) & (sb == 0))
-    identical = degenerate & (sa == sb)
-
-    ma, mb = sa / n, sb / n
-    cov = sab / n - ma * mb
-    var_a = saa / n - ma * ma
-    var_b = sbb / n - mb * mb
-    num = 4.0 * cov * (ma * mb)
-    den = (var_a + var_b) * (ma * ma + mb * mb)
-    safe_den = np.where(degenerate, 1.0, den)
-    q = np.where(identical, 1.0, num / safe_den)
-    keep = identical | ~degenerate
+    # Numerator and denominator scaled by n**4 stay exact in int64 (both
+    # are below 2**58 for 8-bit pixels). Both variances are >= 0, so the
+    # denominator is 0 exactly when both are 0 or both means are 0.
+    num = 4 * (n * sab - sa * sb) * sa * sb
+    den = (n * saa - sa * sa + n * sbb - sb * sb) * (sa * sa + sb * sb)
+    degenerate = den == 0
+    q = np.where(degenerate, 1.0, num / np.where(degenerate, 1, den))
+    keep = ~degenerate | (sa == sb)
     if not keep.any():
         return float("nan")
     return float(q[keep].mean())
@@ -179,25 +173,6 @@ def rs_analysis(img: GrayImage, mask=DEFAULT_RS_MASK) -> RsStatistics:
     r_m, s_m = _group_fractions(groups, mask)
     r_neg, s_neg = _group_fractions(groups, -mask)
     return RsStatistics(r_m, s_m, r_neg, s_neg)
-
-
-@dataclass(frozen=True)
-class QualityReport:
-    """Cover-vs-stego summary: PSNR (dB), quality index, bits per pixel, bit count."""
-
-    psnr: float
-    q_index: float
-    bit_rate: float
-    embedded_bits: int
-
-
-def quality_report(cover: GrayImage, stego: GrayImage, embedded_bits: int) -> QualityReport:
-    return QualityReport(
-        psnr=psnr(cover, stego),
-        q_index=quality_index(cover, stego),
-        bit_rate=bit_rate(embedded_bits, cover),
-        embedded_bits=embedded_bits,
-    )
 
 
 @dataclass(frozen=True)

@@ -20,15 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import GrayImage
-from .lbp import lbp_codes
+from .lbp import NEIGHBOR_OFFSETS, lbp_codes
 
 HEADER_BYTES = 4
 MAX_PAYLOAD_SIDE = 0xFFFF
 
-# Positions of the ring neighbors inside a 3x3 block, in NEIGHBOR_OFFSETS
-# order (right, then counterclockwise).
-_RING_ROWS = np.array([1, 0, 0, 0, 1, 2, 2, 2])
-_RING_COLS = np.array([2, 2, 1, 0, 0, 0, 1, 2])
+# Positions of the ring neighbors inside a 3x3 block, in NEIGHBOR_OFFSETS order.
+_RING_ROWS, _RING_COLS = 1 + np.array(NEIGHBOR_OFFSETS).T
+# Ring neighbor q carries bit 7 - q of every shuffled byte.
+_RING_SHIFTS = np.arange(7, -1, -1, dtype=np.uint8)
 
 _PAIR_LO = 0b01010101
 _PAIR_HI = 0b10101010
@@ -93,11 +93,6 @@ class BlockGrid:
         return 3 * k + 1, 3 * l + 1
 
 
-def mask_byte(lbp: int, value: int) -> int:
-    """XOR a stream byte with a block pattern; self-inverse."""
-    return lbp ^ value
-
-
 def shuffle_byte(value):
     """Swap the two bits inside each of the four adjacent bit pairs.
 
@@ -106,43 +101,40 @@ def shuffle_byte(value):
     return ((value & _PAIR_LO) << 1) | ((value & _PAIR_HI) >> 1)
 
 
-def unshuffle_byte(value):
-    """Inverse pair swap (the permutation is its own inverse)."""
-    return shuffle_byte(value)
-
-
 def sync_neighbor(center, cover_value, stego_value, mu: int):
     """Restore the cover's >=/< order between center and a substituted neighbor.
 
     If writing the low bits flipped the comparison, step the stego value by
     +-2**mu (which cannot disturb its ``mu`` low bits); otherwise return it
-    unchanged. Works elementwise on arrays.
+    unchanged. Works elementwise and returns an array (0-d for scalars).
     """
     step = 1 << mu
     was_ge = np.greater_equal(center, cover_value)
     now_ge = np.greater_equal(center, stego_value)
-    adjusted = np.where(
+    return np.where(
         was_ge & ~now_ge,
         stego_value - step,
         np.where(~was_ge & now_ge, stego_value + step, stego_value),
     )
-    if np.ndim(adjusted) == 0:
-        return int(adjusted)
-    return adjusted
 
 
-def _block_stack(pixels: np.ndarray, grid: BlockGrid) -> np.ndarray:
-    """Copy the complete 3x3 tiles into a (n_blocks, 3, 3) row-major stack."""
-    h, w = 3 * grid.block_rows, 3 * grid.block_cols
-    tiles = pixels[:h, :w].reshape(grid.block_rows, 3, grid.block_cols, 3)
-    return tiles.swapaxes(1, 2).reshape(grid.n_blocks, 3, 3).copy()
+def _block_stack(pixels: np.ndarray, grid: BlockGrid, n: int) -> np.ndarray:
+    """Gather the block rows holding the first ``n`` blocks into a row-major
+    (rows * block_cols, 3, 3) stack.
+
+    The stack may be a view of ``pixels`` (one block row or one block
+    column); write changes back with :func:`_write_blocks`.
+    """
+    rows = -(-n // grid.block_cols)
+    tiles = pixels[: 3 * rows, : 3 * grid.block_cols].reshape(rows, 3, grid.block_cols, 3)
+    return tiles.swapaxes(1, 2).reshape(-1, 3, 3)
 
 
 def _write_blocks(pixels: np.ndarray, grid: BlockGrid, blocks: np.ndarray) -> None:
-    """Scatter a (n_blocks, 3, 3) stack back over the tiled region in place."""
-    h, w = 3 * grid.block_rows, 3 * grid.block_cols
-    tiles = blocks.reshape(grid.block_rows, grid.block_cols, 3, 3).swapaxes(1, 2)
-    pixels[:h, :w] = tiles.reshape(h, w)
+    """Scatter a stack from :func:`_block_stack` back over its block rows in place."""
+    rows = len(blocks) // grid.block_cols
+    tiles = blocks.reshape(rows, grid.block_cols, 3, 3).swapaxes(1, 2)
+    pixels[: 3 * rows, : 3 * grid.block_cols] = tiles.reshape(3 * rows, 3 * grid.block_cols)
 
 
 def capacity(cover: GrayImage, params: StegoParams) -> int:
@@ -181,47 +173,13 @@ def clamp_cover(
     if used_blocks <= 0:
         return cover
     out = cover.pixels.copy()
-    blocks = _block_stack(out, grid)
+    blocks = _block_stack(out, grid, used_blocks)
     used = blocks[:used_blocks]
     centers = used[:, 1, 1].copy()
     np.clip(used, params.clamp_lo, params.clamp_hi, out=used)
     used[:, 1, 1] = centers
     _write_blocks(out, grid, blocks)
     return GrayImage(out)
-
-
-def embed_block(block, payload_bytes, params: StegoParams) -> np.ndarray:
-    """Embed ``mu`` stream bytes into one pre-clamped 3x3 block.
-
-    Reference implementation for a single block: the center is copied
-    through; each byte is XOR-masked with the block's pattern and
-    pair-shuffled, then ring neighbor ``q`` receives bit ``7 - q`` of every
-    shuffled byte in its low bits (first byte highest) and is order-synced
-    against the center. Returns the 3x3 stego block as uint8.
-    """
-    mu = params.mu
-    b = np.asarray(block, dtype=np.int64)
-    if b.shape != (3, 3):
-        raise ValueError(f"block must be 3x3, got shape {b.shape}")
-    data = [int(v) for v in payload_bytes]
-    if len(data) != mu:
-        raise ValueError(f"mu={mu} blocks carry exactly {mu} bytes, got {len(data)}")
-    if any(not 0 <= v <= 255 for v in data):
-        raise ValueError("payload bytes must lie in [0, 255]")
-    ring = b[_RING_ROWS, _RING_COLS]
-    if ring.min() < params.clamp_lo or ring.max() > params.clamp_hi:
-        raise ValueError("block neighbors must be clamped before embedding")
-    center = int(b[1, 1])
-    code = int(lbp_codes(np.array([center]), ring[None, :])[0])
-    shuffled = [shuffle_byte(mask_byte(code, v)) for v in data]
-    out = b.copy()
-    for q in range(8):
-        inserted = 0
-        for t, y in enumerate(shuffled):
-            inserted |= ((y >> (7 - q)) & 1) << (mu - 1 - t)
-        candidate = (int(ring[q]) & ~params.lsb_mask) | inserted
-        out[_RING_ROWS[q], _RING_COLS[q]] = sync_neighbor(center, int(ring[q]), candidate, mu)
-    return out.astype(np.uint8)
 
 
 def _frame(payload: GrayImage) -> bytes:
@@ -255,44 +213,38 @@ def embed(cover: GrayImage, payload: GrayImage, params: StegoParams) -> GrayImag
     used_blocks = -(-len(stream) // mu)
     padded = stream + b"\x00" * (used_blocks * mu - len(stream))
 
-    clamped = clamp_cover(cover, grid, used_blocks, params)
-    out = clamped.pixels.copy()
-    stack = _block_stack(out, grid)
-    used = stack[:used_blocks].astype(np.int32)
-
+    out = cover.pixels.copy()
+    blocks = _block_stack(out, grid, used_blocks)
+    used = blocks[:used_blocks]
     centers = used[:, 1, 1]
     ring = used[:, _RING_ROWS, _RING_COLS]
+    np.clip(ring, params.clamp_lo, params.clamp_hi, out=ring)
     codes = lbp_codes(centers, ring)
     data = np.frombuffer(padded, dtype=np.uint8).reshape(used_blocks, mu)
     shuffled = shuffle_byte(codes[:, None] ^ data)
-    weights = (1 << (mu - 1 - np.arange(mu))).astype(np.int32)
 
-    stego_ring = ring.copy()
-    for q in range(8):
-        bits = ((shuffled >> (7 - q)) & 1).astype(np.int32)
-        inserted = (bits * weights).sum(axis=1)
-        candidate = (ring[:, q] & ~params.lsb_mask) | inserted
-        stego_ring[:, q] = sync_neighbor(centers, ring[:, q], candidate, mu)
-
-    used[:, _RING_ROWS, _RING_COLS] = stego_ring
-    stack[:used_blocks] = used.astype(np.uint8)
-    _write_blocks(out, grid, stack)
+    # (n, mu, 8) bits, byte t landing at bit mu - 1 - t of each neighbor.
+    bits = (shuffled[:, :, None] >> _RING_SHIFTS) & 1
+    byte_shifts = (mu - 1 - np.arange(mu, dtype=np.uint8))[:, None]
+    inserted = (bits << byte_shifts).sum(axis=1, dtype=np.uint8)
+    candidate = (ring >> mu << mu) | inserted
+    used[:, _RING_ROWS, _RING_COLS] = sync_neighbor(centers[:, None], ring, candidate, mu)
+    _write_blocks(out, grid, blocks)
     return GrayImage(out)
 
 
-def _decode_stream(stack: np.ndarray, mu: int) -> np.ndarray:
-    """Recover stream bytes from an int (n, 3, 3) block stack."""
-    centers = stack[:, 1, 1]
-    ring = stack[:, _RING_ROWS, _RING_COLS]
+def _decode_stream(pixels: np.ndarray, grid: BlockGrid, n: int, mu: int) -> np.ndarray:
+    """Recover the stream bytes carried by the first ``n`` blocks."""
+    blocks = _block_stack(pixels, grid, n)[:n]
+    centers = blocks[:, 1, 1]
+    ring = blocks[:, _RING_ROWS, _RING_COLS]
     codes = lbp_codes(centers, ring)
-    low = (ring & ((1 << mu) - 1)).astype(np.uint8)
-    out = np.empty((len(stack), mu), dtype=np.uint8)
-    ring_weights = 1 << (7 - np.arange(8))
-    for t in range(mu):
-        bit_t = (low >> (mu - 1 - t)) & 1
-        y = (bit_t * ring_weights).sum(axis=1).astype(np.uint8)
-        out[:, t] = unshuffle_byte(y) ^ codes
-    return out.reshape(-1)
+    low = ring & ((1 << mu) - 1)
+    # (n, mu, 8) bits: bit mu - 1 - t of each neighbor belongs to byte t.
+    byte_shifts = (mu - 1 - np.arange(mu, dtype=np.uint8))[:, None]
+    bits = (low[:, None, :] >> byte_shifts) & 1
+    shuffled = (bits << _RING_SHIFTS).sum(axis=2, dtype=np.uint8)
+    return (shuffle_byte(shuffled) ^ codes[:, None]).reshape(-1)
 
 
 def extract(stego: GrayImage, params: StegoParams) -> GrayImage:
@@ -304,9 +256,8 @@ def extract(stego: GrayImage, params: StegoParams) -> GrayImage:
         raise CorruptStreamError(
             f"image holds only {cap} stream bytes, no room for a size header"
         )
-    stack = _block_stack(stego.pixels, grid).astype(np.int32)
     header_blocks = -(-HEADER_BYTES // mu)
-    head = _decode_stream(stack[:header_blocks], mu)[:HEADER_BYTES]
+    head = _decode_stream(stego.pixels, grid, header_blocks, mu)[:HEADER_BYTES]
     rows = int(head[0]) << 8 | int(head[1])
     cols = int(head[2]) << 8 | int(head[3])
     if rows == 0 or cols == 0:
@@ -315,5 +266,5 @@ def extract(stego: GrayImage, params: StegoParams) -> GrayImage:
     if needed > cap:
         raise CorruptStreamError(f"header announces {needed} stream bytes, image holds {cap}")
     used_blocks = -(-needed // mu)
-    stream = _decode_stream(stack[:used_blocks], mu)
+    stream = _decode_stream(stego.pixels, grid, used_blocks, mu)
     return GrayImage(stream[HEADER_BYTES:needed].reshape(rows, cols))

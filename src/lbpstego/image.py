@@ -109,11 +109,11 @@ def read_pgm(data: bytes) -> GrayImage:
         raise PgmDepthError(f"unsupported maxval {maxval} (only 8-bit, maxval 255)")
     if end >= len(data) or not data[end : end + 1].isspace():
         raise PgmFormatError("missing whitespace between maxval and raster")
-    raster = data[end + 1 :]
-    if len(raster) < width * height:
-        raise PgmTruncatedError(f"raster holds {len(raster)} bytes, need {width * height}")
-    px = np.frombuffer(raster[: width * height], dtype=np.uint8).reshape(height, width)
-    return GrayImage(px)
+    raster_bytes = len(data) - end - 1
+    if raster_bytes < width * height:
+        raise PgmTruncatedError(f"raster holds {raster_bytes} bytes, need {width * height}")
+    px = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=end + 1)
+    return GrayImage(px.reshape(height, width))
 
 
 def write_pgm(img: GrayImage) -> bytes:

@@ -141,8 +141,8 @@ def test_criterion_2_lbp_preservation(roundtrip_trials):
         clamped = clamp_cover(cover, grid, used, params)
         for image in (clamped, stego):
             assert image.pixels.shape == cover.pixels.shape
-        cl = _block_stack(clamped.pixels, grid)[:used].astype(np.int32)
-        st = _block_stack(stego.pixels, grid)[:used].astype(np.int32)
+        cl = _block_stack(clamped.pixels, grid, used)[:used].astype(np.int32)
+        st = _block_stack(stego.pixels, grid, used)[:used].astype(np.int32)
         ring_idx = (np.array([1, 0, 0, 0, 1, 2, 2, 2]), np.array([2, 2, 1, 0, 0, 0, 1, 2]))
         codes_cl = lbp_codes(cl[:, 1, 1], cl[:, ring_idx[0], ring_idx[1]])
         codes_st = lbp_codes(st[:, 1, 1], st[:, ring_idx[0], ring_idx[1]])

@@ -1,6 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
+from block_oracle import embed_block
 
+from lbpstego import synth
 from lbpstego.codec import (
     HEADER_BYTES,
     BlockGrid,
@@ -11,16 +15,13 @@ from lbpstego.codec import (
     capacity,
     clamp_cover,
     embed,
-    embed_block,
     extract,
-    mask_byte,
     max_payload_bytes,
     max_payload_shape,
     shuffle_byte,
     sync_neighbor,
-    unshuffle_byte,
 )
-from lbpstego.image import GrayImage
+from lbpstego.image import GrayImage, write_pgm
 
 
 def gray(rows):
@@ -52,29 +53,19 @@ class TestBlockGrid:
 
 
 class TestByteOps:
-    def test_mask_examples(self):
-        assert mask_byte(0xB6, 0x5A) == 0xEC
-        assert mask_byte(0x00, 0x7F) == 0x7F
-        assert mask_byte(0xFF, 0xFF) == 0x00
-
-    def test_mask_self_inverse_everywhere(self):
-        for lbp in range(0, 256, 7):
-            for p in range(0, 256, 5):
-                assert mask_byte(lbp, mask_byte(lbp, p)) == p
-
     def test_shuffle_examples(self):
         assert shuffle_byte(0xEC) == 0xDC
         assert shuffle_byte(0x00) == 0x00
         assert shuffle_byte(0xFF) == 0xFF
 
     def test_unshuffle_examples(self):
-        assert unshuffle_byte(0xDC) == 0xEC
-        assert unshuffle_byte(0x00) == 0x00
+        # shuffle_byte is its own inverse, so it also undoes a shuffle
+        assert shuffle_byte(0xDC) == 0xEC
+        assert shuffle_byte(0x00) == 0x00
 
     def test_shuffle_is_involution_on_all_bytes(self):
         for b in range(256):
             assert shuffle_byte(shuffle_byte(b)) == b
-            assert unshuffle_byte(shuffle_byte(b)) == b
 
     def test_shuffle_works_on_arrays(self):
         vals = np.arange(256, dtype=np.uint8)
@@ -189,7 +180,7 @@ class TestEmbedBlock:
             block = rng.integers(params.clamp_lo, params.clamp_hi + 1, (3, 3))
             data = bytes(rng.integers(0, 256, mu, dtype=np.uint8))
             out = embed_block(block, data, params)
-            decoded = _decode_stream(out[None, :, :].astype(np.int32), mu)
+            decoded = _decode_stream(out, BlockGrid(1, 1), 1, mu)
             assert bytes(decoded) == data
 
 
@@ -280,10 +271,24 @@ class TestEmbedExtract:
         with pytest.raises(CorruptStreamError):
             extract(stego, StegoParams(1))
 
+    @pytest.mark.parametrize("mu", [1, 2, 3, 4])
+    def test_extract_reads_only_the_used_blocks(self, mu):
+        rng = np.random.default_rng(100 + mu)
+        cover = GrayImage(rng.integers(0, 256, (40, 62), dtype=np.uint8))
+        payload = GrayImage(rng.integers(0, 256, (3, 11), dtype=np.uint8))
+        params = StegoParams(mu)
+        stego = embed(cover, payload, params).pixels.copy()
+        used = -(-(HEADER_BYTES + payload.width * payload.height) // mu)
+        block_cols = BlockGrid.for_image(cover).block_cols
+        touched = np.zeros(stego.shape, dtype=bool)
+        for b in range(used):
+            k, l = divmod(b, block_cols)
+            touched[3 * k : 3 * k + 3, 3 * l : 3 * l + 3] = True
+        stego[~touched] = rng.integers(0, 256, int((~touched).sum()), dtype=np.uint8)
+        assert extract(GrayImage(stego), params) == payload
+
     def test_wrong_mu_detected_on_fixed_input(self):
         # inputs chosen so the misread header always overruns capacity
-        from lbpstego import synth
-
         rng = np.random.default_rng(42)
         cover = synth.smooth_cover((96, 96), seed=3)
         payload = GrayImage(rng.integers(0, 256, (20, 40), dtype=np.uint8))
@@ -291,3 +296,41 @@ class TestEmbedExtract:
         for wrong in (1, 3, 4):
             with pytest.raises(CorruptStreamError):
                 extract(stego, StegoParams(wrong))
+
+
+# SHA-256 of write_pgm(embed(...)), pinned so that any change to the stego
+# bytes is deliberate. The 100x203 cover leaves a 1-row and a 2-column strip.
+GOLDEN_STEGO_SHA256 = {
+    ("smooth96", "full", 1): "2b43bb7189aa118a575ec0ebb921c29b7192aa4e0368ee96ebe5ce14f802f823",
+    ("smooth96", "full", 2): "a1cdf82a2703876e2b526c12504305b7d2d08af0894354eb74ac1e5669909a4d",
+    ("smooth96", "full", 3): "8550fbc21ff1408a637ebe5a3202d4d7873b75de500988eb464d64542c4f2057",
+    ("smooth96", "full", 4): "637544345a1a40674affaf7342068344f7311104dce6827278eba024dda605f3",
+    ("smooth96", "sparse", 1): "a864eaeccacd18760c7ee2b76f3f09419aaa9ba22198f7b684274d6352491440",
+    ("smooth96", "sparse", 2): "57a34aa2f014d3fe640936faef09aecc118453cecee5c3815f594516beb63725",
+    ("smooth96", "sparse", 3): "4311895814785edb12160c1c7676791402ee13bbee7780ab00b3cc92fa944dce",
+    ("smooth96", "sparse", 4): "d1eb72096b0bbf41d0147f8ddc4f6931122cac25dd1d90b9c284a758d4b186ce",
+    ("random100x203", "full", 1): "ebc28305679704f89ba7317e730a1f29071eb1fbd75ee3356cbf7359066d5553",
+    ("random100x203", "full", 2): "6187f57849066188349c1713c27de5ed261180ef00f2c0877662d92e0bedda7d",
+    ("random100x203", "full", 3): "700ed25e22f23f6bcde8debf4abcf4123d1ea301314db0ca93107e3041b88d54",
+    ("random100x203", "full", 4): "38b53544b7791dc754223d16acfe43bb59af1123dd41aab1cb939907d373d775",
+    ("random100x203", "sparse", 1): "48f658235d508132778d7a502a559724f25b3dfb44e97653c3efc221fdea6780",
+    ("random100x203", "sparse", 2): "23accba4777740c2bd96a6b737656d159534f8a476e93c0b8d921525d3d3ba41",
+    ("random100x203", "sparse", 3): "4b75630f4c1c8c2cf3c37caea0df8365ed06de6751be5a1b5437f13a648d3fb5",
+    ("random100x203", "sparse", 4): "f5a6ddf6ec78e3a24019c431608c3522f439c28f7f2501f263487f48983fb65f",
+}
+
+
+def _golden_cover(name):
+    if name == "smooth96":
+        return synth.smooth_cover((96, 96), seed=3)
+    return GrayImage(np.random.default_rng(11).integers(0, 256, (100, 203), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("name, fill, mu", sorted(GOLDEN_STEGO_SHA256))
+def test_stego_bytes_match_golden_digest(name, fill, mu):
+    cover = _golden_cover(name)
+    params = StegoParams(mu)
+    shape = max_payload_shape(cover, params) if fill == "full" else (2, 9)
+    payload = GrayImage(np.random.default_rng(mu).integers(0, 256, shape, dtype=np.uint8))
+    digest = hashlib.sha256(write_pgm(embed(cover, payload, params))).hexdigest()
+    assert digest == GOLDEN_STEGO_SHA256[name, fill, mu]

@@ -2,6 +2,7 @@
 pattern preservation, center fixity, bounded distortion, untouched tails."""
 
 import numpy as np
+from block_oracle import embed_block
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,6 @@ from lbpstego.codec import (
     capacity,
     clamp_cover,
     embed,
-    embed_block,
     extract,
     _frame,
 )
