@@ -26,7 +26,7 @@ from .codec import (
     max_payload_bytes,
 )
 from .image import GrayImage, PgmError, load_pgm, read_pgm, save_pgm, write_pgm
-from .lbp import NEIGHBOR_OFFSETS, lbp_code
+from .lbp import NEIGHBOR_OFFSETS
 
 __all__ = [
     "BaselineMethod",
@@ -50,7 +50,6 @@ __all__ = [
     "extract",
     "histogram",
     "histogram_l1",
-    "lbp_code",
     "load_pgm",
     "max_payload_bytes",
     "pd_histogram",

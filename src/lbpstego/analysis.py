@@ -133,16 +133,14 @@ class RsStatistics:
 
 def _flip(values: np.ndarray, direction: int) -> np.ndarray:
     """LSB flip family: +1 swaps 2k<->2k+1, -1 swaps 2k-1<->2k saturating at 0/255."""
-    if direction == 0:
-        return values
     odd = (values & 1) == 1
     if direction == 1:
         return np.where(odd, values - 1, values + 1)
     return np.clip(np.where(odd, values + 1, values - 1), 0, 255)
 
 
-def _group_fractions(groups: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
-    base = np.abs(np.diff(groups, axis=-1)).sum(axis=-1)
+def _group_fractions(groups: np.ndarray, base: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
+    """Regular and singular fractions against the unflipped smoothness ``base``."""
     flipped = groups.copy()
     for i, m in enumerate(mask):
         if m != 0:
@@ -170,8 +168,9 @@ def rs_analysis(img: GrayImage, mask=DEFAULT_RS_MASK) -> RsStatistics:
         raise ValueError(f"image width {img.width} is smaller than the group size {n}")
     per_row = img.width // n
     groups = img.pixels[:, : per_row * n].astype(np.int64).reshape(img.height, per_row, n)
-    r_m, s_m = _group_fractions(groups, mask)
-    r_neg, s_neg = _group_fractions(groups, -mask)
+    base = np.abs(np.diff(groups, axis=-1)).sum(axis=-1)
+    r_m, s_m = _group_fractions(groups, base, mask)
+    r_neg, s_neg = _group_fractions(groups, base, -mask)
     return RsStatistics(r_m, s_m, r_neg, s_neg)
 
 

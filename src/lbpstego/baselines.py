@@ -68,12 +68,12 @@ def baseline_embed(cover: GrayImage, bits, method: BaselineMethod) -> GrayImage:
         raise ValueError(f"{bits.size} bits exceed the {cap}-bit capacity")
     flat = cover.pixels.reshape(-1).astype(np.int32)
     if method.kind == "lsb":
-        out = _embed_replace(flat, bits, method.k)
+        _embed_replace(flat, bits, method.k)
     elif method.kind == "lsbm":
-        out = _embed_match(flat, bits, method.seed)
+        _embed_match(flat, bits, method.seed)
     else:
-        out = _embed_pairs(flat, bits, method.seed)
-    return GrayImage(out.astype(np.uint8).reshape(cover.pixels.shape))
+        _embed_pairs(flat, bits, method.seed)
+    return GrayImage(flat.astype(np.uint8).reshape(cover.pixels.shape))
 
 
 def baseline_extract(stego: GrayImage, bit_count: int, method: BaselineMethod) -> np.ndarray:
@@ -81,86 +81,71 @@ def baseline_extract(stego: GrayImage, bit_count: int, method: BaselineMethod) -
     if bit_count < 0 or bit_count > method.capacity_bits(stego):
         raise ValueError(f"bit_count {bit_count} exceeds capacity")
     flat = stego.pixels.reshape(-1).astype(np.int32)
-    if method.kind == "lsb":
-        return _extract_replace(flat, bit_count, method.k)
-    if method.kind == "lsbm":
-        return (flat[:bit_count] & 1).astype(np.uint8)
-    return _extract_pairs(flat, bit_count)
+    if method.kind == "lsbmr":
+        return _extract_pairs(flat, bit_count)
+    return _extract_replace(flat, bit_count, method.k if method.kind == "lsb" else 1)
 
 
-def _embed_replace(flat: np.ndarray, bits: np.ndarray, k: int) -> np.ndarray:
-    out = flat.copy()
-    full, rem = divmod(bits.size, k)
-    if full:
-        chunks = bits[: full * k].reshape(full, k).astype(np.int32)
-        weights = 1 << (k - 1 - np.arange(k))
-        out[:full] = (out[:full] & ~((1 << k) - 1)) | (chunks * weights).sum(axis=1)
-    for j in range(rem):  # a partial chunk takes the highest replaced positions
-        pos = k - 1 - j
-        out[full] = (out[full] & ~(1 << pos)) | (int(bits[full * k + j]) << pos)
-    return out
+def _bit_planes(flat: np.ndarray, count: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uint8 (ceil(count / k), k) low bit planes of the leading pixels,
+    highest replaced bit first, and the shift of each plane."""
+    shifts = np.arange(k - 1, -1, -1, dtype=np.uint8)
+    return (flat[: -(-count // k), None].astype(np.uint8) >> shifts) & 1, shifts
 
 
 def _extract_replace(flat: np.ndarray, count: int, k: int) -> np.ndarray:
-    if count == 0:
-        return np.empty(0, dtype=np.uint8)
-    n_pixels = -(-count // k)
-    shifts = k - 1 - np.arange(k)
-    bits = ((flat[:n_pixels, None] >> shifts) & 1).reshape(-1)
-    return bits[:count].astype(np.uint8)
+    planes, _ = _bit_planes(flat, count, k)
+    return planes.reshape(-1)[:count]
 
 
-def _embed_match(flat: np.ndarray, bits: np.ndarray, seed: int) -> np.ndarray:
-    out = flat.copy()
+def _embed_replace(flat: np.ndarray, bits: np.ndarray, k: int) -> None:
+    """Overwrite the planes :func:`_extract_replace` reads; a partial chunk
+    takes the highest replaced positions and keeps the rest of its pixel."""
+    planes, shifts = _bit_planes(flat, bits.size, k)
+    planes.reshape(-1)[: bits.size] = bits
+    n = len(planes)
+    flat[:n] = (flat[:n] >> k << k) | planes @ (1 << shifts)
+
+
+def _embed_match(flat: np.ndarray, bits: np.ndarray, seed: int) -> None:
     n = bits.size
-    if n == 0:
-        return out
-    cur = out[:n]
+    cur = flat[:n]
     rng = np.random.default_rng(seed)
     delta = np.where(rng.integers(0, 2, size=n) == 1, 1, -1)
     delta = np.where(cur == 0, 1, np.where(cur == 255, -1, delta))
-    out[:n] = np.where((cur & 1) != bits, cur + delta, cur)
-    return out
+    flat[:n] = np.where((cur & 1) != bits, cur + delta, cur)
 
 
-def _inward_step(value: int, rng: np.random.Generator) -> int:
-    if value == 0:
-        return 1
-    if value == 255:
-        return -1
-    return 1 if rng.integers(0, 2) == 1 else -1
+def _pair_bit(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    return ((x1 >> 1) + x2) & 1  # >> floors, so x1 = -1 reads as -1 // 2
 
 
-def _embed_pairs(flat: np.ndarray, bits: np.ndarray, seed: int) -> np.ndarray:
-    out = flat.copy()
-    if bits.size == 0:
-        return out
+def _embed_pairs(flat: np.ndarray, bits: np.ndarray, seed: int) -> None:
+    if bits.size % 2:
+        bits = np.append(bits, np.uint8(0))
+    b1, b2 = bits[0::2], bits[1::2]
+    pairs = flat[: bits.size].reshape(-1, 2)
+    x1, x2 = pairs[:, 0], pairs[:, 1]
+    down = b2 == _pair_bit(x1 - 1, x2)
+    x1 = np.where(b1 == x1 & 1, x1, np.where(down, x1 - 1, x1 + 1))
+    # A move off the byte range is forced back inward (-1 -> 1, 256 -> 254),
+    # which breaks the pair bit; x2 then repairs it like a plain mismatch.
+    x1 = np.where(x1 > 255, 254, np.abs(x1))
+    need = b2 != _pair_bit(x1, x2)
+    # +-1 for x2, inward at 0 and 255, otherwise one draw per such pair in order:
+    # the same stream as one scalar rng.integers(0, 2) call per pair.
+    step = np.where(x2 == 0, 1, -1)
+    free = need & (x2 != 0) & (x2 != 255)
     rng = np.random.default_rng(seed)
-    padded = bits if bits.size % 2 == 0 else np.append(bits, np.uint8(0))
-    for i in range(padded.size // 2):
-        b1, b2 = int(padded[2 * i]), int(padded[2 * i + 1])
-        p = 2 * i
-        x1, x2 = int(out[p]), int(out[p + 1])
-        if b1 == (x1 & 1):
-            if b2 != ((x1 // 2 + x2) & 1):
-                x2 += _inward_step(x2, rng)
-        else:
-            x1n = x1 - 1 if b2 == (((x1 - 1) // 2 + x2) & 1) else x1 + 1
-            if not 0 <= x1n <= 255:
-                # Forced inward; repair the pair bit through x2 if that broke it.
-                x1n = 1 if x1n < 0 else 254
-                if b2 != ((x1n // 2 + x2) & 1):
-                    x2 += _inward_step(x2, rng)
-            x1 = x1n
-        out[p], out[p + 1] = x1, x2
-    return out
+    step[free] = np.where(rng.integers(0, 2, size=int(free.sum())) == 1, 1, -1)
+    pairs[:, 1] += np.where(need, step, 0)
+    pairs[:, 0] = x1
 
 
 def _extract_pairs(flat: np.ndarray, count: int) -> np.ndarray:
-    bits = np.empty(count, dtype=np.uint8)
-    for i in range(0, count, 2):
-        x1, x2 = int(flat[i]), int(flat[i + 1])
-        bits[i] = x1 & 1
-        if i + 1 < count:
-            bits[i + 1] = (x1 // 2 + x2) & 1
-    return bits
+    end = count + count % 2
+    x1, x2 = flat[0:end:2], flat[1:end:2]
+    bits = np.empty(end, dtype=np.uint8)
+    bits[0::2] = x1 & 1
+    bits[1::2] = _pair_bit(x1, x2)
+    return bits[:count]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -36,10 +38,26 @@ def _fail(code: int, message: str) -> int:
 
 
 def _write_file(path: str, data: bytes, force: bool) -> int | None:
-    target = Path(path)
-    if target.exists() and not force:
+    """Write ``data`` beside ``path`` and rename it over ``path``, so a failed
+    or interrupted write never leaves a partial file behind."""
+    target = Path(path).resolve()  # write through a symlink, as a plain write does
+    exists = target.exists()
+    if exists and not force:
         return _fail(EXIT_EXISTS, f"{path} exists; pass --force to overwrite")
-    target.write_bytes(data)
+    tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        f = open(tmp, "xb")  # a new file gets the mode a plain write gives
+    except FileNotFoundError:
+        return _fail(EXIT_IO, f"cannot write {path}: no such directory")
+    try:
+        with f:
+            f.write(data)
+        if exists:
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return None
 
 

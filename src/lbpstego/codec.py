@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import GrayImage
+from .image import GrayImage, _adopt
 from .lbp import NEIGHBOR_OFFSETS, lbp_codes
 
 HEADER_BYTES = 4
@@ -57,14 +57,6 @@ class StegoParams:
             raise ValueError(f"mu must be an integer in [1, 4], got {self.mu!r}")
 
     @property
-    def lsb_mask(self) -> int:
-        return (1 << self.mu) - 1
-
-    @property
-    def step(self) -> int:
-        return 1 << self.mu
-
-    @property
     def clamp_lo(self) -> int:
         return 1 << self.mu
 
@@ -87,10 +79,6 @@ class BlockGrid:
     @property
     def n_blocks(self) -> int:
         return self.block_rows * self.block_cols
-
-    def reference(self, k: int, l: int) -> tuple[int, int]:
-        """Image coordinates of block (k, l)'s reference (center) pixel."""
-        return 3 * k + 1, 3 * l + 1
 
 
 def shuffle_byte(value):
@@ -230,7 +218,7 @@ def embed(cover: GrayImage, payload: GrayImage, params: StegoParams) -> GrayImag
     candidate = (ring >> mu << mu) | inserted
     used[:, _RING_ROWS, _RING_COLS] = sync_neighbor(centers[:, None], ring, candidate, mu)
     _write_blocks(out, grid, blocks)
-    return GrayImage(out)
+    return _adopt(out)
 
 
 def _decode_stream(pixels: np.ndarray, grid: BlockGrid, n: int, mu: int) -> np.ndarray:

@@ -28,7 +28,7 @@ class PgmTruncatedError(PgmError):
 class GrayImage:
     """Immutable 8-bit single-channel raster.
 
-    ``pixels`` is stored as a read-only ``(height, width)`` uint8 array;
+    ``pixels`` is stored as a read-only, C-ordered ``(height, width)`` uint8 array;
     instances compare equal iff dimensions and every pixel match.
     """
 
@@ -38,14 +38,12 @@ class GrayImage:
         px = np.asarray(self.pixels)
         if px.ndim != 2 or px.size == 0:
             raise ValueError(f"expected a non-empty 2-D pixel array, got shape {px.shape}")
-        if px.dtype == np.uint8:
-            px = px.copy()
-        else:
+        if px.dtype != np.uint8:
             if not np.issubdtype(px.dtype, np.integer):
                 raise ValueError(f"pixel dtype must be integral, got {px.dtype}")
             if px.min() < 0 or px.max() > 255:
                 raise ValueError("pixel intensities must lie in [0, 255]")
-            px = px.astype(np.uint8)
+        px = px.astype(np.uint8, order="C")
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
 
@@ -63,6 +61,18 @@ class GrayImage:
         return self.pixels.shape == other.pixels.shape and bool(
             np.array_equal(self.pixels, other.pixels)
         )
+
+
+def _adopt(px: np.ndarray) -> GrayImage:
+    """Wrap a non-empty, C-ordered 2-D uint8 array without copying it.
+
+    Only for arrays no other code can write: a view of immutable ``bytes``,
+    or a fresh array whose creator drops every other reference to it.
+    """
+    px.setflags(write=False)
+    img = object.__new__(GrayImage)
+    object.__setattr__(img, "pixels", px)
+    return img
 
 
 def _header_tokens(data: bytes):
@@ -113,7 +123,7 @@ def read_pgm(data: bytes) -> GrayImage:
     if raster_bytes < width * height:
         raise PgmTruncatedError(f"raster holds {raster_bytes} bytes, need {width * height}")
     px = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=end + 1)
-    return GrayImage(px.reshape(height, width))
+    return _adopt(px.reshape(height, width))
 
 
 def write_pgm(img: GrayImage) -> bytes:
@@ -123,7 +133,7 @@ def write_pgm(img: GrayImage) -> bytes:
     :func:`read_pgm` exactly.
     """
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + img.pixels.tobytes()
+    return b"".join((header, img.pixels.data))
 
 
 def load_pgm(path) -> GrayImage:

@@ -4,37 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .image import GrayImage
-
 # Ring order around the center: right first, then counterclockwise.
 NEIGHBOR_OFFSETS = ((0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1))
 
 
-def lbp_code(image: GrayImage, row: int, col: int) -> int:
-    """8-bit pattern comparing pixel ``(row, col)`` against its 8 neighbors.
-
-    Bit ``7 - q`` is 1 iff the center is >= the ``q``-th neighbor of
-    ``NEIGHBOR_OFFSETS`` (ties count as 1), so the right neighbor decides
-    the most significant bit. The center must be at least one pixel away
-    from every image border.
-    """
-    if not (1 <= row <= image.height - 2 and 1 <= col <= image.width - 2):
-        raise IndexError(
-            f"center ({row}, {col}) has neighbors outside a {image.height}x{image.width} image"
-        )
-    px = image.pixels
-    center = int(px[row, col])
-    code = 0
-    for q, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
-        if center >= px[row + dr, col + dc]:
-            code |= 1 << (7 - q)
-    return code
-
-
 def lbp_codes(centers: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
-    """Vectorized codes for ``centers`` (n,) against ``neighbors`` (n, 8).
+    """8-bit patterns of ``centers`` (n,) against ``neighbors`` (n, 8), as uint8.
 
-    Neighbor columns must follow ``NEIGHBOR_OFFSETS`` order; returns uint8.
+    Bit ``7 - q`` is 1 iff the center is >= neighbor column ``q`` (ties count
+    as 1). Columns follow ``NEIGHBOR_OFFSETS`` order, so the right neighbor
+    decides the most significant bit.
     """
     bits = (centers[:, None] >= neighbors).astype(np.uint8)
     weights = (1 << (7 - np.arange(8))).astype(np.uint8)

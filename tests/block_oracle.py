@@ -1,9 +1,47 @@
-"""Per-block reference embedder, the oracle for the codec's vectorized path."""
+"""Scalar references for the codec's vectorized paths: the per-pixel pattern,
+block coordinates, and the per-block embedder."""
 
 import numpy as np
 
 from lbpstego.codec import _RING_COLS, _RING_ROWS, StegoParams, shuffle_byte, sync_neighbor
-from lbpstego.lbp import lbp_codes
+from lbpstego.image import GrayImage
+from lbpstego.lbp import NEIGHBOR_OFFSETS, lbp_codes
+
+
+def lbp_code(image: GrayImage, row: int, col: int) -> int:
+    """8-bit pattern comparing pixel ``(row, col)`` against its 8 neighbors.
+
+    Bit ``7 - q`` is 1 iff the center is >= the ``q``-th neighbor of
+    ``NEIGHBOR_OFFSETS`` (ties count as 1), so the right neighbor decides
+    the most significant bit. The center must be at least one pixel away
+    from every image border.
+    """
+    if not (1 <= row <= image.height - 2 and 1 <= col <= image.width - 2):
+        raise IndexError(
+            f"center ({row}, {col}) has neighbors outside a {image.height}x{image.width} image"
+        )
+    px = image.pixels
+    center = int(px[row, col])
+    code = 0
+    for q, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
+        if center >= px[row + dr, col + dc]:
+            code |= 1 << (7 - q)
+    return code
+
+
+def block_center(k: int, l: int) -> tuple[int, int]:
+    """Image coordinates of block (k, l)'s reference (center) pixel."""
+    return 3 * k + 1, 3 * l + 1
+
+
+def lsb_mask(params: StegoParams) -> int:
+    """The ``mu`` low bits a carrier neighbor gives to the payload."""
+    return (1 << params.mu) - 1
+
+
+def sync_step(params: StegoParams) -> int:
+    """The order-restoring correction, which leaves the low ``mu`` bits alone."""
+    return 1 << params.mu
 
 
 def embed_block(block, payload_bytes, params: StegoParams) -> np.ndarray:
@@ -35,6 +73,6 @@ def embed_block(block, payload_bytes, params: StegoParams) -> np.ndarray:
         inserted = 0
         for t, y in enumerate(shuffled):
             inserted |= ((y >> (7 - q)) & 1) << (mu - 1 - t)
-        candidate = (int(ring[q]) & ~params.lsb_mask) | inserted
+        candidate = (int(ring[q]) & ~lsb_mask(params)) | inserted
         out[_RING_ROWS[q], _RING_COLS[q]] = sync_neighbor(center, int(ring[q]), candidate, mu)
     return out.astype(np.uint8)

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from lbpstego.analysis import (
     MetricRow,
+    RsStatistics,
     bit_rate,
     emit_csv,
     histogram,
@@ -205,6 +206,37 @@ class TestRsAnalysis:
     def test_narrow_image_rejected(self):
         with pytest.raises(ValueError):
             rs_analysis(GrayImage(np.zeros((4, 3), dtype=np.uint8)), (0, 1, 1, 0))
+
+    @pytest.mark.parametrize("mask", [(0, 1, 1, 0), (0, -1, -1, 0), (1, 0)])
+    @pytest.mark.parametrize("levels", [None, (0, 1, 254, 255)])
+    def test_matches_per_group_count(self, mask, levels):
+        """Every fraction equals a group-by-group count under the flip definitions."""
+        rng = np.random.default_rng(8)
+        px = rng.integers(0, 256, (9, 23)) if levels is None else rng.choice(levels, (9, 23))
+
+        def flip(v, m):
+            if m == 0:
+                return v
+            if m == 1:
+                return v ^ 1
+            return min(255, max(0, v + 1 if v & 1 else v - 1))
+
+        def smoothness(g):
+            return sum(abs(b - a) for a, b in zip(g, g[1:]))
+
+        expect = []
+        for m in (mask, tuple(-e for e in mask)):
+            regular = singular = total = 0
+            for row in px.tolist():
+                for j in range(0, len(row) - len(m) + 1, len(m)):
+                    group = row[j : j + len(m)]
+                    before = smoothness(group)
+                    after = smoothness([flip(v, e) for v, e in zip(group, m)])
+                    regular += after > before
+                    singular += after < before
+                    total += 1
+            expect += [regular / total, singular / total]
+        assert rs_analysis(GrayImage(px), mask) == RsStatistics(*expect)
 
     def test_null_hypothesis_on_natural_covers(self, corpus10):
         """Unmodified covers keep the mask and its negation in agreement."""

@@ -1,9 +1,11 @@
 import csv
+import errno
+import os
 
 import numpy as np
 import pytest
 
-from lbpstego import synth
+from lbpstego import cli, synth
 from lbpstego.cli import (
     EXIT_CAPACITY,
     EXIT_EXISTS,
@@ -222,3 +224,75 @@ def test_parser_epilog_documents_exit_codes():
     text = parser.format_help()
     for code in ("3", "4", "5", "6", "7"):
         assert code in text
+
+
+class _HalfWriter:
+    """A file whose write stops half way with ENOSPC, after the first half
+    has reached the disk."""
+
+    def __init__(self, path, mode):
+        self.f = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        self.f.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _embed_args(tmp, out, *extra):
+    return [
+        "embed", "--cover", str(tmp / "cover.pgm"), "--payload", str(tmp / "payload.pgm"),
+        "--out", str(out), "--mu", "1", *extra,
+    ]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_interrupted_write_leaves_no_partial_file(workspace, monkeypatch, existing):
+    tmp, _, _ = workspace
+    out = tmp / "stego.pgm"
+    if existing:
+        out.write_bytes(b"old stego bytes")
+    before = sorted(p.name for p in tmp.iterdir())
+    monkeypatch.setattr(cli, "open", _HalfWriter, raising=False)
+    rc = main(_embed_args(tmp, out, *(["--force"] if existing else [])))
+    assert rc == EXIT_IO
+    if existing:
+        assert out.read_bytes() == b"old stego bytes"
+    else:
+        assert not out.exists()
+    assert sorted(p.name for p in tmp.iterdir()) == before  # no temp file left
+
+
+def test_missing_output_directory_names_the_target(workspace, capsys):
+    tmp, _, _ = workspace
+    out = tmp / "missing" / "stego.pgm"
+    assert main(_embed_args(tmp, out)) == EXIT_IO
+    assert capsys.readouterr().err == f"error: cannot write {out}: no such directory\n"
+
+
+def test_force_writes_through_a_symlink(workspace):
+    tmp, _, _ = workspace
+    real, link = tmp / "real.pgm", tmp / "link.pgm"
+    real.write_bytes(b"old stego bytes")
+    link.symlink_to(real)
+    assert main(_embed_args(tmp, link, "--force")) == EXIT_OK
+    assert link.is_symlink()
+    assert real.read_bytes().startswith(b"P5")
+
+
+def test_written_files_get_plain_write_modes(workspace):
+    tmp, _, _ = workspace
+    umask = os.umask(0)
+    os.umask(umask)
+    out = tmp / "stego.pgm"
+    assert main(_embed_args(tmp, out)) == EXIT_OK
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+    out.chmod(0o600)  # overwriting keeps the existing file's mode
+    assert main(_embed_args(tmp, out, "--force")) == EXIT_OK
+    assert out.stat().st_mode & 0o777 == 0o600

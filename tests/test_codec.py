@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from block_oracle import embed_block
+from block_oracle import block_center, embed_block, lsb_mask, sync_step
 
 from lbpstego import synth
 from lbpstego.codec import (
@@ -36,14 +36,14 @@ class TestStegoParams:
 
     def test_derived_constants(self):
         p = StegoParams(3)
-        assert (p.lsb_mask, p.step, p.clamp_lo, p.clamp_hi) == (7, 8, 8, 247)
+        assert (lsb_mask(p), sync_step(p), p.clamp_lo, p.clamp_hi) == (7, 8, 8, 247)
 
 
 class TestBlockGrid:
     def test_reference_coordinates(self):
         grid = BlockGrid(3, 4)
-        assert grid.reference(0, 0) == (1, 1)
-        assert grid.reference(2, 3) == (7, 10)
+        assert block_center(0, 0) == (1, 1)
+        assert block_center(2, 3) == (7, 10)
         assert grid.n_blocks == 12
 
     def test_leftover_strips_do_not_count(self):
@@ -226,6 +226,16 @@ class TestEmbedExtract:
             touched[3 * k : 3 * k + 3, 3 * l : 3 * l + 3] = True
         assert np.array_equal(stego.pixels[~touched], cover.pixels[~touched])
         assert extract(stego, StegoParams(1)) == payload
+
+    def test_stego_is_read_only_and_leaves_the_cover_alone(self):
+        rng = np.random.default_rng(4)
+        cover = GrayImage(rng.integers(0, 256, (9, 9), dtype=np.uint8))
+        before = cover.pixels.copy()
+        stego = embed(cover, GrayImage(np.array([[7, 9]], dtype=np.uint8)), StegoParams(2))
+        assert not np.shares_memory(stego.pixels, cover.pixels)
+        assert np.array_equal(cover.pixels, before)
+        with pytest.raises(ValueError):
+            stego.pixels[0, 0] = 1
 
     def test_all_zero_payload_round_trip(self):
         rng = np.random.default_rng(1)

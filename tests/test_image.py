@@ -32,6 +32,23 @@ class TestGrayImage:
         with pytest.raises(ValueError):
             GrayImage(np.zeros((0, 3), dtype=np.uint8))
 
+    def test_transposed_int_array_writes_like_its_c_ordered_copy(self):
+        px = np.arange(12, dtype=np.int64).reshape(3, 4).T
+        img = GrayImage(px)
+        assert img.pixels.flags.c_contiguous
+        assert write_pgm(img) == write_pgm(GrayImage(np.ascontiguousarray(px)))
+        assert read_pgm(write_pgm(img)) == img
+
+    def test_read_pgm_wraps_the_raster_without_a_copy(self):
+        data = write_pgm(GrayImage(np.arange(12, dtype=np.uint8).reshape(3, 4)))
+        img = read_pgm(data)
+        assert np.shares_memory(img.pixels, np.frombuffer(data, dtype=np.uint8))
+        assert img.pixels.flags.c_contiguous
+        with pytest.raises(ValueError):
+            img.pixels[0, 0] = 1
+        with pytest.raises(ValueError):
+            img.pixels.setflags(write=True)
+
     def test_pixels_are_read_only(self):
         img = GrayImage(np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(ValueError):

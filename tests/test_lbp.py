@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from block_oracle import lbp_code
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lbpstego.image import GrayImage
-from lbpstego.lbp import NEIGHBOR_OFFSETS, lbp_code, lbp_codes
+from lbpstego.lbp import NEIGHBOR_OFFSETS, lbp_codes
 
 
 def block_image(center, ring):
