@@ -26,8 +26,10 @@ def _check_same_size(a: GrayImage, b: GrayImage) -> None:
 def mean_squared_error(a: GrayImage, b: GrayImage) -> float:
     """Mean squared pixel difference, accumulated exactly in integers."""
     _check_same_size(a, b)
-    diff = a.pixels.astype(np.int64) - b.pixels.astype(np.int64)
-    return int((diff * diff).sum()) / diff.size
+    diff = a.pixels.astype(np.int32)
+    diff -= b.pixels
+    diff *= diff
+    return int(diff.sum(dtype=np.int64)) / diff.size
 
 
 def psnr(a: GrayImage, b: GrayImage) -> float:
@@ -39,9 +41,15 @@ def psnr(a: GrayImage, b: GrayImage) -> float:
 
 
 def _window_sums(values: np.ndarray, size: int) -> np.ndarray:
-    """Sliding size x size window sums via a zero-padded integral image."""
-    ii = np.pad(values.cumsum(axis=0).cumsum(axis=1), ((1, 0), (1, 0)))
-    return ii[size:, size:] - ii[:-size, size:] - ii[size:, :-size] + ii[:-size, :-size]
+    """Sliding size x size window sums, one axis at a time from shifted slices."""
+    h, w = values.shape
+    rows = values[: h - size + 1].copy()
+    for k in range(1, size):
+        rows += values[k : h - size + 1 + k]
+    out = rows[:, : w - size + 1].copy()
+    for k in range(1, size):
+        out += rows[:, k : w - size + 1 + k]
+    return out
 
 
 def quality_index(a: GrayImage, b: GrayImage) -> float:
@@ -54,20 +62,25 @@ def quality_index(a: GrayImage, b: GrayImage) -> float:
     _check_same_size(a, b)
     if a.height < Q_WINDOW or a.width < Q_WINDOW:
         raise ValueError(f"images must be at least {Q_WINDOW}x{Q_WINDOW}")
-    pa = a.pixels.astype(np.int64)
-    pb = b.pixels.astype(np.int64)
+    pa = a.pixels.astype(np.int32)
+    pb = b.pixels.astype(np.int32)
     n = Q_WINDOW * Q_WINDOW
     sa, sb = _window_sums(pa, Q_WINDOW), _window_sums(pb, Q_WINDOW)
     saa, sbb = _window_sums(pa * pa, Q_WINDOW), _window_sums(pb * pb, Q_WINDOW)
     sab = _window_sums(pa * pb, Q_WINDOW)
 
-    # Numerator and denominator scaled by n**4 stay exact in int64 (both
-    # are below 2**58 for 8-bit pixels). Both variances are >= 0, so the
+    # For 8-bit pixels every n-scaled moment below, and 4*sa*sb, is under
+    # 2**31, so it is exact in int32; numerator and denominator, scaled by
+    # n**4, stay below 2**58 in int64. Both variances are >= 0, so the
     # denominator is 0 exactly when both are 0 or both means are 0.
-    num = 4 * (n * sab - sa * sb) * sa * sb
-    den = (n * saa - sa * sa + n * sbb - sb * sb) * (sa * sa + sb * sb)
+    num = (n * sab - sa * sb).astype(np.int64)
+    num *= 4 * sa * sb
+    den = (n * saa - sa * sa + n * sbb - sb * sb).astype(np.int64)
+    den *= sa * sa + sb * sb
     degenerate = den == 0
-    q = np.where(degenerate, 1.0, num / np.where(degenerate, 1, den))
+    den[degenerate] = 1
+    q = num / den
+    q[degenerate] = 1.0
     keep = ~degenerate | (sa == sb)
     if not keep.any():
         return float("nan")
@@ -115,7 +128,7 @@ def pd_histogram(img: GrayImage) -> PdHistogram:
     """Histogram of right-neighbor differences pixel(r, c+1) - pixel(r, c)."""
     if img.width < 2:
         raise ValueError("pixel-difference histogram needs width >= 2")
-    px = img.pixels.astype(np.int64)
+    px = img.pixels.astype(np.int16)
     d = (px[:, 1:] - px[:, :-1]).reshape(-1)
     counts = np.bincount(d + MAX_DIFF, minlength=2 * MAX_DIFF + 1).astype(np.int64)
     return PdHistogram(counts)
@@ -167,7 +180,7 @@ def rs_analysis(img: GrayImage, mask=DEFAULT_RS_MASK) -> RsStatistics:
     if img.width < n:
         raise ValueError(f"image width {img.width} is smaller than the group size {n}")
     per_row = img.width // n
-    groups = img.pixels[:, : per_row * n].astype(np.int64).reshape(img.height, per_row, n)
+    groups = img.pixels[:, : per_row * n].astype(np.int16).reshape(img.height, per_row, n)
     base = np.abs(np.diff(groups, axis=-1)).sum(axis=-1)
     r_m, s_m = _group_fractions(groups, base, mask)
     r_neg, s_neg = _group_fractions(groups, base, -mask)

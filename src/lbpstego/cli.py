@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import shutil
@@ -206,7 +207,9 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once and shared by every call; do not modify it."""
     parser = argparse.ArgumentParser(
         prog="lbpstego",
         description="Blind LBP-preserving grayscale image steganography and steganalysis",

@@ -20,15 +20,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import GrayImage, _adopt
-from .lbp import NEIGHBOR_OFFSETS, lbp_codes
+from .lbp import NEIGHBOR_OFFSETS, PACK, lbp_codes
 
 HEADER_BYTES = 4
 MAX_PAYLOAD_SIDE = 0xFFFF
 
 # Positions of the ring neighbors inside a 3x3 block, in NEIGHBOR_OFFSETS order.
 _RING_ROWS, _RING_COLS = 1 + np.array(NEIGHBOR_OFFSETS).T
-# Ring neighbor q carries bit 7 - q of every shuffled byte.
-_RING_SHIFTS = np.arange(7, -1, -1, dtype=np.uint8)
+# A block's ring, gathered into one 8-byte row, is read as one little-endian
+# word whose byte q is ring neighbor q.
+_WORD = np.dtype("<u8")
+_ONES = np.uint64(0x0101010101010101)
+# Byte q of _SPREAD[s] is bit 7 - q of s, the bit ring neighbor q carries.
+_SPREAD = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).view(_WORD).reshape(-1)
 
 _PAIR_LO = 0b01010101
 _PAIR_HI = 0b10101010
@@ -94,35 +98,27 @@ def sync_neighbor(center, cover_value, stego_value, mu: int):
 
     If writing the low bits flipped the comparison, step the stego value by
     +-2**mu (which cannot disturb its ``mu`` low bits); otherwise return it
-    unchanged. Works elementwise and returns an array (0-d for scalars).
+    unchanged. Works elementwise in the stego value's dtype: uint8 steps wrap
+    modulo 256, which a carrier clamped by :func:`clamp_cover` never needs,
+    and wider integer steps are exact.
     """
-    step = 1 << mu
+    dtype = np.result_type(stego_value)
     was_ge = np.greater_equal(center, cover_value)
     now_ge = np.greater_equal(center, stego_value)
-    return np.where(
-        was_ge & ~now_ge,
-        stego_value - step,
-        np.where(~was_ge & now_ge, stego_value + step, stego_value),
-    )
+    return stego_value + np.subtract(now_ge, was_ge, dtype=dtype) * dtype.type(1 << mu)
 
 
-def _block_stack(pixels: np.ndarray, grid: BlockGrid, n: int) -> np.ndarray:
-    """Gather the block rows holding the first ``n`` blocks into a row-major
-    (rows * block_cols, 3, 3) stack.
-
-    The stack may be a view of ``pixels`` (one block row or one block
-    column); write changes back with :func:`_write_blocks`.
-    """
-    rows = -(-n // grid.block_cols)
-    tiles = pixels[: 3 * rows, : 3 * grid.block_cols].reshape(rows, 3, grid.block_cols, 3)
-    return tiles.swapaxes(1, 2).reshape(-1, 3, 3)
+def _tiles(pixels: np.ndarray, grid: BlockGrid, n: int) -> np.ndarray:
+    """The block rows holding the first ``n`` blocks, as a (rows, block_cols,
+    3, 3) view of ``pixels``."""
+    rows, cols = -(-n // grid.block_cols), grid.block_cols
+    return pixels[: 3 * rows, : 3 * cols].reshape(rows, 3, cols, 3).swapaxes(1, 2)
 
 
-def _write_blocks(pixels: np.ndarray, grid: BlockGrid, blocks: np.ndarray) -> None:
-    """Scatter a stack from :func:`_block_stack` back over its block rows in place."""
-    rows = len(blocks) // grid.block_cols
-    tiles = blocks.reshape(rows, grid.block_cols, 3, 3).swapaxes(1, 2)
-    pixels[: 3 * rows, : 3 * grid.block_cols] = tiles.reshape(3 * rows, 3 * grid.block_cols)
+def _rings(tiles: np.ndarray) -> np.ndarray:
+    """Copy each block's ring into one contiguous row of a (blocks, 8) array;
+    write it back through the same index of ``tiles``."""
+    return np.ascontiguousarray(tiles[:, :, _RING_ROWS, _RING_COLS]).reshape(-1, 8)
 
 
 def capacity(cover: GrayImage, params: StegoParams) -> int:
@@ -161,12 +157,11 @@ def clamp_cover(
     if used_blocks <= 0:
         return cover
     out = cover.pixels.copy()
-    blocks = _block_stack(out, grid, used_blocks)
-    used = blocks[:used_blocks]
-    centers = used[:, 1, 1].copy()
+    tiles = _tiles(out, grid, used_blocks)
+    rings = _rings(tiles)
+    used = rings[:used_blocks]
     np.clip(used, params.clamp_lo, params.clamp_hi, out=used)
-    used[:, 1, 1] = centers
-    _write_blocks(out, grid, blocks)
+    tiles[:, :, _RING_ROWS, _RING_COLS] = rings.reshape(len(tiles), -1, 8)
     return GrayImage(out)
 
 
@@ -202,36 +197,38 @@ def embed(cover: GrayImage, payload: GrayImage, params: StegoParams) -> GrayImag
     padded = stream + b"\x00" * (used_blocks * mu - len(stream))
 
     out = cover.pixels.copy()
-    blocks = _block_stack(out, grid, used_blocks)
-    used = blocks[:used_blocks]
-    centers = used[:, 1, 1]
-    ring = used[:, _RING_ROWS, _RING_COLS]
+    tiles = _tiles(out, grid, used_blocks)
+    rings = _rings(tiles)
+    ring = rings[:used_blocks]
     np.clip(ring, params.clamp_lo, params.clamp_hi, out=ring)
+    centers = tiles[:, :, 1, 1].reshape(-1)[:used_blocks]
     codes = lbp_codes(centers, ring)
     data = np.frombuffer(padded, dtype=np.uint8).reshape(used_blocks, mu)
     shuffled = shuffle_byte(codes[:, None] ^ data)
 
-    # (n, mu, 8) bits, byte t landing at bit mu - 1 - t of each neighbor.
-    bits = (shuffled[:, :, None] >> _RING_SHIFTS) & 1
-    byte_shifts = (mu - 1 - np.arange(mu, dtype=np.uint8))[:, None]
-    inserted = (bits << byte_shifts).sum(axis=1, dtype=np.uint8)
-    candidate = (ring >> mu << mu) | inserted
-    used[:, _RING_ROWS, _RING_COLS] = sync_neighbor(centers[:, None], ring, candidate, mu)
-    _write_blocks(out, grid, blocks)
+    # Byte t of the block lands at bit mu - 1 - t of every ring neighbor;
+    # each ring byte takes at most 4 bits, so the shifts never carry.
+    inserted = _SPREAD[shuffled[:, 0]]
+    for t in range(1, mu):
+        inserted <<= 1
+        inserted |= _SPREAD[shuffled[:, t]]
+    words = ring.view(_WORD).reshape(-1)
+    candidate = (words & ~(_ONES * ((1 << mu) - 1)) | inserted).astype(_WORD, copy=False)
+    ring[:] = sync_neighbor(centers[:, None], ring, candidate.view(np.uint8).reshape(-1, 8), mu)
+    tiles[:, :, _RING_ROWS, _RING_COLS] = rings.reshape(len(tiles), -1, 8)
     return _adopt(out)
 
 
 def _decode_stream(pixels: np.ndarray, grid: BlockGrid, n: int, mu: int) -> np.ndarray:
     """Recover the stream bytes carried by the first ``n`` blocks."""
-    blocks = _block_stack(pixels, grid, n)[:n]
-    centers = blocks[:, 1, 1]
-    ring = blocks[:, _RING_ROWS, _RING_COLS]
-    codes = lbp_codes(centers, ring)
-    low = ring & ((1 << mu) - 1)
-    # (n, mu, 8) bits: bit mu - 1 - t of each neighbor belongs to byte t.
-    byte_shifts = (mu - 1 - np.arange(mu, dtype=np.uint8))[:, None]
-    bits = (low[:, None, :] >> byte_shifts) & 1
-    shuffled = (bits << _RING_SHIFTS).sum(axis=2, dtype=np.uint8)
+    tiles = _tiles(pixels, grid, n)
+    rings = _rings(tiles)[:n]
+    codes = lbp_codes(tiles[:, :, 1, 1].reshape(-1)[:n], rings)
+    words = rings.view(_WORD).reshape(-1)
+    # Bit mu - 1 - t of every ring neighbor belongs to byte t.
+    shuffled = np.empty((n, mu), dtype=np.uint8)
+    for t in range(mu):
+        shuffled[:, t] = ((words >> (mu - 1 - t)) & _ONES) * PACK >> 56
     return (shuffle_byte(shuffled) ^ codes[:, None]).reshape(-1)
 
 

@@ -7,6 +7,10 @@ import numpy as np
 # Ring order around the center: right first, then counterclockwise.
 NEIGHBOR_OFFSETS = ((0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1))
 
+# A little-endian word of eight 0/1 bytes times PACK has byte q's bit at bit
+# 63 - q. The partial products are distinct powers of two, so nothing carries.
+PACK = np.uint64(0x8040201008040201)
+
 
 def lbp_codes(centers: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
     """8-bit patterns of ``centers`` (n,) against ``neighbors`` (n, 8), as uint8.
@@ -15,6 +19,6 @@ def lbp_codes(centers: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
     as 1). Columns follow ``NEIGHBOR_OFFSETS`` order, so the right neighbor
     decides the most significant bit.
     """
-    bits = (centers[:, None] >= neighbors).astype(np.uint8)
-    weights = (1 << (7 - np.arange(8))).astype(np.uint8)
-    return (bits * weights).sum(axis=1, dtype=np.uint8)
+    ge = np.empty(neighbors.shape, dtype=bool)
+    np.greater_equal(centers[:, None], neighbors, out=ge)
+    return (ge.view("<u8").reshape(-1) * PACK >> 56).astype(np.uint8)

@@ -1,9 +1,16 @@
-"""Scalar references for the codec's vectorized paths: the per-pixel pattern,
-block coordinates, and the per-block embedder."""
+"""References for the codec's word-at-a-time paths: the per-pixel pattern,
+block coordinates, the per-block embedder, and the block-stack decoder."""
 
 import numpy as np
 
-from lbpstego.codec import _RING_COLS, _RING_ROWS, StegoParams, shuffle_byte, sync_neighbor
+from lbpstego.codec import (
+    _RING_COLS,
+    _RING_ROWS,
+    BlockGrid,
+    StegoParams,
+    shuffle_byte,
+    sync_neighbor,
+)
 from lbpstego.image import GrayImage
 from lbpstego.lbp import NEIGHBOR_OFFSETS, lbp_codes
 
@@ -76,3 +83,34 @@ def embed_block(block, payload_bytes, params: StegoParams) -> np.ndarray:
         candidate = (int(ring[q]) & ~lsb_mask(params)) | inserted
         out[_RING_ROWS[q], _RING_COLS[q]] = sync_neighbor(center, int(ring[q]), candidate, mu)
     return out.astype(np.uint8)
+
+
+# Ring neighbor q carries bit 7 - q of every shuffled byte.
+_RING_SHIFTS = np.arange(7, -1, -1, dtype=np.uint8)
+
+
+def _block_stack(pixels: np.ndarray, grid: BlockGrid, n: int) -> np.ndarray:
+    """Gather the block rows holding the first ``n`` blocks into a row-major
+    (rows * block_cols, 3, 3) stack.
+
+    The stack may be a view of ``pixels`` (one block row or one block
+    column).
+    """
+    rows = -(-n // grid.block_cols)
+    tiles = pixels[: 3 * rows, : 3 * grid.block_cols].reshape(rows, 3, grid.block_cols, 3)
+    return tiles.swapaxes(1, 2).reshape(-1, 3, 3)
+
+
+def _decode_stream(pixels: np.ndarray, grid: BlockGrid, n: int, mu: int) -> np.ndarray:
+    """Recover the stream bytes carried by the first ``n`` blocks, one
+    (n, mu, 8) bit tensor at a time."""
+    blocks = _block_stack(pixels, grid, n)[:n]
+    centers = blocks[:, 1, 1]
+    ring = blocks[:, _RING_ROWS, _RING_COLS]
+    codes = lbp_codes(centers, ring)
+    low = ring & ((1 << mu) - 1)
+    # (n, mu, 8) bits: bit mu - 1 - t of each neighbor belongs to byte t.
+    byte_shifts = (mu - 1 - np.arange(mu, dtype=np.uint8))[:, None]
+    bits = (low[:, None, :] >> byte_shifts) & 1
+    shuffled = (bits << _RING_SHIFTS).sum(axis=2, dtype=np.uint8)
+    return (shuffle_byte(shuffled) ^ codes[:, None]).reshape(-1)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from block_oracle import _block_stack
 
 from lbpstego import synth
 from lbpstego.analysis import (
@@ -33,7 +34,6 @@ from lbpstego.codec import (
     extract,
     max_payload_shape,
     sync_neighbor,
-    _block_stack,
 )
 from lbpstego.image import GrayImage
 from lbpstego.lbp import lbp_codes

@@ -93,6 +93,19 @@ class TestSync:
         out = sync_neighbor(centers, covers, stegos, 1)
         assert list(out) == [99, 102, 99]
 
+    def test_uint8_in_gives_uint8_out(self):
+        centers = np.array([100, 100, 100], dtype=np.uint8)
+        covers = np.array([100, 101, 98], dtype=np.uint8)
+        stegos = np.array([101, 100, 99], dtype=np.uint8)
+        out = sync_neighbor(centers, covers, stegos, 1)
+        assert out.dtype == np.uint8
+        assert list(out) == [99, 102, 99]
+
+    def test_wide_steps_do_not_wrap(self):
+        # an unclamped carrier steps out of byte range instead of wrapping
+        assert sync_neighbor(np.int64(0), 0, 1, 1) == -1
+        assert sync_neighbor(np.int64(254), 255, 254, 1) == 256
+
 
 class TestClampCover:
     def test_mu1_bounds(self):

@@ -2,6 +2,7 @@
 pattern preservation, center fixity, bounded distortion, untouched tails."""
 
 import numpy as np
+from block_oracle import _decode_stream as oracle_decode_stream
 from block_oracle import block_center, embed_block, lbp_code
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,18 +15,32 @@ from lbpstego.codec import (
     clamp_cover,
     embed,
     extract,
+    _decode_stream,
     _frame,
 )
 from lbpstego.image import GrayImage
 
+# Values at and next to the ends of the byte range and of the clamp bounds.
+EDGE_VALUES = (0, 1, 2, 127, 128, 253, 254, 255)
+
 
 @st.composite
 def embed_cases(draw):
+    """Covers of 3..21 px a side (random, edge-heavy or flat), so the used
+    blocks can end inside a block row and leftover strips occur, with a
+    payload that fits (None when the cover cannot carry one byte)."""
     mu = draw(st.integers(1, 4))
     height = draw(st.integers(3, 21))
     width = draw(st.integers(3, 21))
+    kind = draw(st.sampled_from(("random", "edges", "flat")))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    cover = GrayImage(rng.integers(0, 256, (height, width), dtype=np.uint8))
+    if kind == "random":
+        pixels = rng.integers(0, 256, (height, width))
+    elif kind == "edges":
+        pixels = rng.choice(EDGE_VALUES, (height, width))
+    else:
+        pixels = np.full((height, width), rng.integers(0, 256))
+    cover = GrayImage(pixels.astype(np.uint8))
     cap = capacity(cover, StegoParams(mu))
     if cap <= HEADER_BYTES:
         payload_len = 0
@@ -78,7 +93,7 @@ def test_structure_preservation(case):
     assert np.array_equal(stego.pixels[~touched], cover.pixels[~touched])
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(embed_cases())
 def test_vectorized_embed_matches_block_reference(case):
     """The fast path must agree with the per-block reference implementation."""
@@ -112,3 +127,20 @@ def test_overall_distortion_bound(seed, mu):
     stego = embed(cover, payload, params)
     diff = np.abs(stego.pixels.astype(int) - cover.pixels.astype(int))
     assert diff.max() <= (2 ** (mu + 1) - 1) + 2**mu
+
+
+@settings(max_examples=100, deadline=None)
+@given(embed_cases(), st.data())
+def test_decode_matches_block_stack_oracle(case, data):
+    """Word-at-a-time decoding agrees with the (n, mu, 8) bit-tensor
+    reference on any image, stego or not, for any count of leading blocks."""
+    cover, payload, mu = case
+    image = cover
+    if payload is not None and data.draw(st.booleans()):
+        image = embed(cover, payload, StegoParams(mu))
+    grid = BlockGrid.for_image(cover)
+    n = data.draw(st.integers(1, grid.n_blocks))
+    assert np.array_equal(
+        _decode_stream(image.pixels, grid, n, mu),
+        oracle_decode_stream(image.pixels, grid, n, mu),
+    )
