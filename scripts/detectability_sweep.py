@@ -17,8 +17,9 @@ import numpy as np
 
 from lbpstego import synth
 from lbpstego.analysis import emit_csv
+from lbpstego.cli import _parse_methods, _parse_rates
 from lbpstego.image import GrayImage
-from lbpstego.sweep import METHOD_NAMES, run_sweep
+from lbpstego.sweep import run_sweep
 
 
 def main() -> int:
@@ -32,11 +33,10 @@ def main() -> int:
     parser.add_argument("--methods", default="proposed,lsb1,lsbm,lsbmr")
     args = parser.parse_args()
 
-    rates = [float(r) for r in args.rates.split(",")]
-    methods = [m.strip() for m in args.methods.split(",")]
-    unknown = set(methods) - set(METHOD_NAMES)
-    if unknown:
-        parser.error(f"unknown methods: {sorted(unknown)}")
+    try:
+        rates, methods = _parse_rates(args.rates), _parse_methods(args.methods)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     covers = [
         (f"cover{i:02d}", img)

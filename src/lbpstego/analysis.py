@@ -144,25 +144,6 @@ class RsStatistics:
     s_neg_m: float
 
 
-def _flip(values: np.ndarray, direction: int) -> np.ndarray:
-    """LSB flip family: +1 swaps 2k<->2k+1, -1 swaps 2k-1<->2k saturating at 0/255."""
-    odd = (values & 1) == 1
-    if direction == 1:
-        return np.where(odd, values - 1, values + 1)
-    return np.clip(np.where(odd, values + 1, values - 1), 0, 255)
-
-
-def _group_fractions(groups: np.ndarray, base: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
-    """Regular and singular fractions against the unflipped smoothness ``base``."""
-    flipped = groups.copy()
-    for i, m in enumerate(mask):
-        if m != 0:
-            flipped[..., i] = _flip(groups[..., i], int(m))
-    after = np.abs(np.diff(flipped, axis=-1)).sum(axis=-1)
-    total = base.size
-    return float((after > base).sum() / total), float((after < base).sum() / total)
-
-
 def rs_analysis(img: GrayImage, mask=DEFAULT_RS_MASK) -> RsStatistics:
     """RS statistics over row-wise non-overlapping groups of ``len(mask)`` pixels.
 
@@ -182,9 +163,15 @@ def rs_analysis(img: GrayImage, mask=DEFAULT_RS_MASK) -> RsStatistics:
     per_row = img.width // n
     groups = img.pixels[:, : per_row * n].astype(np.int16).reshape(img.height, per_row, n)
     base = np.abs(np.diff(groups, axis=-1)).sum(axis=-1)
-    r_m, s_m = _group_fractions(groups, base, mask)
-    r_neg, s_neg = _group_fractions(groups, base, -mask)
-    return RsStatistics(r_m, s_m, r_neg, s_neg)
+    fractions = []
+    for m in (mask, -mask):
+        # F1(x) = x ^ 1 and F-1(x) = F1(x + 1) - 1 (Fridrich, Goljan & Du 2001),
+        # saturating at 0/255; columns with mask 0 come through unchanged.
+        neg, flip = (m < 0).astype(np.int16), np.abs(m).astype(np.int16)
+        flipped = np.clip(((groups + neg) ^ flip) - neg, 0, 255)
+        after = np.abs(np.diff(flipped, axis=-1)).sum(axis=-1)
+        fractions += [float(np.count_nonzero(c) / base.size) for c in (after > base, after < base)]
+    return RsStatistics(*fractions)
 
 
 @dataclass(frozen=True)
@@ -207,13 +194,7 @@ def _csv_value(v) -> str:
     elif isinstance(v, (int, np.integer)):
         out = str(int(v))
     else:
-        f = float(v)
-        if math.isinf(f):
-            out = "inf" if f > 0 else "-inf"
-        elif math.isnan(f):
-            out = "nan"
-        else:
-            out = format(f, ".10g")
+        out = format(float(v), ".10g")  # spells out inf, -inf and nan
     if "," in out or "\n" in out or '"' in out:
         raise ValueError(f"CSV field {out!r} needs quoting, which this emitter avoids")
     return out

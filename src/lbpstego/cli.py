@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import shutil
 import sys
@@ -136,7 +135,7 @@ def cmd_metrics(args) -> int:
     psnr_db = analysis.psnr(a, b)
     q = analysis.quality_index(a, b)
     l1 = analysis.histogram_l1(a, b)
-    print(f"psnr: {'inf' if math.isinf(psnr_db) else format(psnr_db, '.2f')} dB")
+    print(f"psnr: {psnr_db:.2f} dB")
     print(f"q_index: {q:.6f}")
     print(f"histogram_l1: {l1:.6f}")
     name = Path(args.b).name
@@ -178,8 +177,8 @@ def cmd_pdh(args) -> int:
     print(f"peak difference: {peak} ({int(hist.counts.max())} pairs)")
     name = Path(args.image).name
     rows = [
-        analysis.MetricRow(name, "pdh", "", f"pdh_{d}", int(hist.counts[d + analysis.MAX_DIFF]))
-        for d in range(-analysis.MAX_DIFF, analysis.MAX_DIFF + 1)
+        analysis.MetricRow(name, "pdh", "", f"pdh_{d}", count)
+        for d, count in zip(hist.differences.tolist(), hist.counts.tolist())
     ]
     err = _write_csv(args.csv, rows, args.force)
     return EXIT_OK if err is None else err

@@ -109,10 +109,13 @@ def read_pgm(data: bytes) -> GrayImage:
     if magic != b"P5":
         raise PgmFormatError(f"not a binary PGM stream (magic {magic!r})")
     (w_tok, _), (h_tok, _), (max_tok, end) = next(tokens), next(tokens), next(tokens)
+    fields = (w_tok, h_tok, max_tok)
+    if not all(tok.isdigit() for tok in fields):  # int() would also take "+1", "1_0"
+        raise PgmFormatError("non-numeric PGM header field")
     try:
-        width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
-    except ValueError:
-        raise PgmFormatError("non-numeric PGM header field") from None
+        width, height, maxval = map(int, fields)
+    except ValueError:  # more digits than int() converts
+        raise PgmFormatError("oversized PGM header field") from None
     if width <= 0 or height <= 0:
         raise PgmFormatError(f"bad dimensions {width}x{height}")
     if maxval != 255:

@@ -16,21 +16,6 @@ from .image import GrayImage
 PROPOSED = "proposed"
 METHOD_NAMES = (PROPOSED, "lsb1", "lsb2", "lsb3", "lsb4", "lsbm", "lsbmr")
 
-_METRIC_ORDER = (
-    "psnr",
-    "q_index",
-    "bit_rate",
-    "embedded_bits",
-    "hist_l1",
-    "rs_r_m",
-    "rs_s_m",
-    "rs_r_neg_m",
-    "rs_s_neg_m",
-    "rs_diff_m",
-    "rs_diff_neg_m",
-    "pdh_corr",
-)
-
 
 def pdh_correlation(a: GrayImage, b: GrayImage) -> float:
     """Pearson correlation between the two pixel-difference histograms."""
@@ -126,7 +111,7 @@ def metric_rows(
         "rs_diff_neg_m": abs(rs.r_neg_m - rs.s_neg_m),
         "pdh_corr": pdh_correlation(cover, stego),
     }
-    return [analysis.MetricRow(name, method, rate, m, values[m]) for m in _METRIC_ORDER]
+    return [analysis.MetricRow(name, method, rate, m, v) for m, v in values.items()]
 
 
 def run_sweep(

@@ -207,7 +207,7 @@ class TestRsAnalysis:
         with pytest.raises(ValueError):
             rs_analysis(GrayImage(np.zeros((4, 3), dtype=np.uint8)), (0, 1, 1, 0))
 
-    @pytest.mark.parametrize("mask", [(0, 1, 1, 0), (0, -1, -1, 0), (1, 0)])
+    @pytest.mark.parametrize("mask", [(0, 1, 1, 0), (0, -1, -1, 0), (1, 0), (1, -1), (-1, 1, 0, -1, 1)])
     @pytest.mark.parametrize("levels", [None, (0, 1, 254, 255)])
     def test_matches_per_group_count(self, mask, levels):
         """Every fraction equals a group-by-group count under the flip definitions."""
@@ -262,8 +262,9 @@ class TestEmitCsv:
         assert emit_csv(rows) == emit_csv(list(rows))
 
     def test_infinity_spelled_out(self):
-        out = emit_csv([MetricRow("a", "m", 1, "psnr", math.inf)])
-        assert out.splitlines()[1].endswith(",inf")
+        values = [math.inf, -math.inf, math.nan, np.float64("inf")]
+        out = emit_csv([MetricRow("a", "m", 1, "psnr", v) for v in values])
+        assert out.splitlines()[1:] == [f"a,m,1,psnr,{t}" for t in ("inf", "-inf", "nan", "inf")]
 
     def test_round_trips_through_csv_reader(self):
         rows = [

@@ -1,6 +1,8 @@
 import csv
 import errno
+import importlib.util
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,3 +298,28 @@ def test_written_files_get_plain_write_modes(workspace):
     out.chmod(0o600)  # overwriting keeps the existing file's mode
     assert main(_embed_args(tmp, out, "--force")) == EXIT_OK
     assert out.stat().st_mode & 0o777 == 0o600
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--rates", "0", "rates must lie in (0, 100]"),
+        ("--rates", "150", "rates must lie in (0, 100]"),
+        ("--methods", "lsb1,hugo", "unknown method 'hugo'"),
+    ],
+)
+def test_detectability_sweep_rejects_bad_rates_and_methods(
+    tmp_path, monkeypatch, capsys, flag, value, message
+):
+    """The sweep script parses --rates/--methods as `compare` does: a bad value exits 2."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "detectability_sweep.py"
+    spec = importlib.util.spec_from_file_location("detectability_sweep", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    argv = ["detectability_sweep.py", "--csv", str(tmp_path / "sweep.csv"), "--count", "1", "--size", "32"]
+    monkeypatch.setattr("sys.argv", [*argv, flag, value])
+    with pytest.raises(SystemExit) as exc:
+        script.main()
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()

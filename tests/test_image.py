@@ -96,6 +96,15 @@ class TestReadPgm:
         img = read_pgm(data)
         assert list(img.pixels[0]) == [5, 6]
 
+    @pytest.mark.parametrize(
+        "header",
+        [b"P5 1_0 1 255\n", b"P5 +10 1 255\n", b"P5 10 1 2_55\n", b"P5 " + b"1" * 5000 + b" 1 255\n"],
+        ids=["underscore-width", "signed-width", "underscore-maxval", "5000-digit-width"],
+    )
+    def test_header_fields_must_be_ascii_decimal(self, header):
+        with pytest.raises(PgmFormatError):
+            read_pgm(header + bytes(10))
+
     def test_zero_dimension_rejected(self):
         with pytest.raises(PgmFormatError):
             read_pgm(b"P5\n0 1\n255\n")

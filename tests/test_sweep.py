@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from lbpstego.analysis import emit_csv
 from lbpstego.codec import HEADER_BYTES, StegoParams, capacity
 from lbpstego.image import GrayImage
 from lbpstego.sweep import (
+    METHOD_NAMES,
     crop_payload_to_rate,
     embed_at_rate,
     payload_bits,
@@ -77,3 +80,27 @@ def test_sweep_covers_all_cells(cover, payload):
     assert cells == {("proposed", 10), ("proposed", 50), ("lsb1", 10), ("lsb1", 50)}
     psnr_rows = [r for r in rows if r.metric == "psnr"]
     assert len(psnr_rows) == 4
+
+
+# SHA-256 of emit_csv(run_sweep(...)) for every method at rates 10 and 100,
+# keyed by (mu, seed); pins each metric value to the last CSV digit and the row order.
+SWEEP_CSV_DIGESTS = {
+    (1, 0): "d84c3388840ca60373ad50f8c207e42c42953d0ff9f4438b738aed4826c810bb",
+    (1, 7): "d3efaebb361ee10d02aa34af5b973c6de497ff7bf0cbdf5d5bba3c837dd99cdc",
+    (3, 0): "4c84c02b3b0970a0a9440daae34e3264223f7cdbb68b7dad75198840934bfb5e",
+    (3, 7): "269bdc3af12bcf51f0b3e8bac302b145321a36df10c1d683d232d7a82f7a47a0",
+}
+
+
+@pytest.mark.parametrize("mu, seed", sorted(SWEEP_CSV_DIGESTS))
+def test_sweep_csv_matches_golden_digest(mu, seed):
+    rng = np.random.default_rng(2024)
+    levels = np.array([0, 1, 254, 255, 128], dtype=np.uint8)
+    covers = [
+        ("edges.pgm", GrayImage(rng.choice(levels, (36, 40), p=[0.22, 0.22, 0.22, 0.22, 0.12]))),
+        ("random.pgm", GrayImage(rng.integers(0, 256, (42, 51), dtype=np.uint8))),
+    ]
+    payload = GrayImage(rng.integers(0, 256, (30, 10), dtype=np.uint8))
+    csv = emit_csv(run_sweep(covers, payload, METHOD_NAMES, [10, 100], mu=mu, seed=seed))
+    assert len(csv.splitlines()) == 1 + 2 * 7 * 2 * 12
+    assert hashlib.sha256(csv.encode("ascii")).hexdigest() == SWEEP_CSV_DIGESTS[mu, seed]
