@@ -5,7 +5,7 @@ deterministic CSV emitter for plotting."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -143,6 +143,18 @@ class RsStatistics:
     r_neg_m: float
     s_neg_m: float
 
+    @property
+    def diff_m(self) -> float:
+        return abs(self.r_m - self.s_m)
+
+    @property
+    def diff_neg_m(self) -> float:
+        return abs(self.r_neg_m - self.s_neg_m)
+
+    def metrics(self) -> dict[str, float]:
+        """The four fractions as CSV metrics, each named ``rs_`` plus its field."""
+        return {f"rs_{f.name}": getattr(self, f.name) for f in fields(self)}
+
 
 def rs_analysis(img: GrayImage, mask=DEFAULT_RS_MASK) -> RsStatistics:
     """RS statistics over row-wise non-overlapping groups of ``len(mask)`` pixels.
@@ -183,6 +195,11 @@ class MetricRow:
     rate: float | str
     metric: str
     value: float | int | str
+
+
+def metric_rows(image: str, method: str, rate: float | str, values: dict) -> list[MetricRow]:
+    """One row per ``values`` entry (metric name to value), in dict order."""
+    return [MetricRow(image, method, rate, metric, value) for metric, value in values.items()]
 
 
 CSV_HEADER = "image,method,rate,metric,value"

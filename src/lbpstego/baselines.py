@@ -37,18 +37,6 @@ class BaselineMethod:
         if self.kind == "lsb" and not 1 <= self.k <= 4:
             raise ValueError(f"replacement depth must be in [1, 4], got {self.k}")
 
-    @classmethod
-    def lsb_replace(cls, k: int, seed: int = 0) -> "BaselineMethod":
-        return cls("lsb", k=k, seed=seed)
-
-    @classmethod
-    def lsb_match(cls, seed: int = 0) -> "BaselineMethod":
-        return cls("lsbm", seed=seed)
-
-    @classmethod
-    def lsbmr(cls, seed: int = 0) -> "BaselineMethod":
-        return cls("lsbmr", seed=seed)
-
     def capacity_bits(self, cover: GrayImage) -> int:
         n = cover.width * cover.height
         if self.kind == "lsb":

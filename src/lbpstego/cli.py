@@ -1,4 +1,4 @@
-"""Command-line front end: embed, extract, capacity, metrics, rs, pdh, compare."""
+"""Command-line front end: embed, extract, capacity, metrics, rs, pdh, corpus, compare."""
 
 from __future__ import annotations
 
@@ -7,10 +7,13 @@ import functools
 import os
 import shutil
 import sys
+from collections import defaultdict
 from pathlib import Path
 
-from . import analysis, codec, sweep
-from .image import PgmError, load_pgm, write_pgm
+import numpy as np
+
+from . import analysis, codec, sweep, synth
+from .image import GrayImage, PgmError, load_pgm, write_pgm
 
 EXIT_OK = 0
 EXIT_USAGE = 2  # argparse's own code for bad flags
@@ -37,13 +40,22 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _write_file(path: str, data: bytes, force: bool) -> int | None:
+def _refuse_existing(paths, force: bool) -> int:
+    """EXIT_EXISTS if any of ``paths`` exists and ``force`` is off, else EXIT_OK."""
+    for path in paths:
+        if not force and Path(path).exists():
+            return _fail(EXIT_EXISTS, f"{path} exists; pass --force to overwrite")
+    return EXIT_OK
+
+
+def _write_file(path, data: bytes, force: bool) -> int:
     """Write ``data`` beside ``path`` and rename it over ``path``, so a failed
     or interrupted write never leaves a partial file behind."""
+    err = _refuse_existing([path], force)
+    if err:
+        return err
     target = Path(path).resolve()  # write through a symlink, as a plain write does
     exists = target.exists()
-    if exists and not force:
-        return _fail(EXIT_EXISTS, f"{path} exists; pass --force to overwrite")
     tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
     try:
         f = open(tmp, "xb")  # a new file gets the mode a plain write gives
@@ -58,19 +70,28 @@ def _write_file(path: str, data: bytes, force: bool) -> int | None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return None
+    return EXIT_OK
 
 
-def _write_csv(path: str | None, rows, force: bool) -> int | None:
-    if path is None:
-        return None
-    return _write_file(path, analysis.emit_csv(rows).encode("ascii"), force)
+def _write_metrics(args, image: str, method: str, values: dict) -> int:
+    """Write one image's ``values`` as CSV rows to ``--csv``, if given."""
+    if args.csv is None:
+        return EXIT_OK
+    rows = analysis.metric_rows(Path(image).name, method, "", values)
+    return _write_file(args.csv, analysis.emit_csv(rows).encode("ascii"), args.force)
+
+
+def _reject_duplicates(kind: str, values: list) -> None:
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ValueError(f"duplicate {kind} {v!r}; each may be given once")
 
 
 def _parse_rates(text: str) -> list[float]:
     rates = [float(tok) for tok in text.split(",") if tok.strip()]
     if not rates or any(not 0.0 < r <= 100.0 for r in rates):
         raise ValueError(f"rates must lie in (0, 100], got {text!r}")
+    _reject_duplicates("rate", rates)
     return rates
 
 
@@ -91,6 +112,7 @@ def _parse_methods(text: str) -> list[str]:
             raise ValueError(f"unknown method {m!r}, expected one of {sweep.METHOD_NAMES}")
     if not methods:
         raise ValueError("no methods given")
+    _reject_duplicates("method", methods)
     return methods
 
 
@@ -100,7 +122,7 @@ def cmd_embed(args) -> int:
     params = codec.StegoParams(args.mu)
     stego = codec.embed(cover, payload, params)
     err = _write_file(args.out, write_pgm(stego), args.force)
-    if err is not None:
+    if err:
         return err
     stream = codec.HEADER_BYTES + payload.width * payload.height
     print(
@@ -114,7 +136,7 @@ def cmd_extract(args) -> int:
     stego = load_pgm(args.stego)
     payload = codec.extract(stego, codec.StegoParams(args.mu))
     err = _write_file(args.out, write_pgm(payload), args.force)
-    if err is not None:
+    if err:
         return err
     print(f"extracted {payload.height}x{payload.width} payload")
     return EXIT_OK
@@ -132,41 +154,23 @@ def cmd_capacity(args) -> int:
 def cmd_metrics(args) -> int:
     a = load_pgm(args.a)
     b = load_pgm(args.b)
-    psnr_db = analysis.psnr(a, b)
-    q = analysis.quality_index(a, b)
-    l1 = analysis.histogram_l1(a, b)
-    print(f"psnr: {psnr_db:.2f} dB")
-    print(f"q_index: {q:.6f}")
-    print(f"histogram_l1: {l1:.6f}")
-    name = Path(args.b).name
-    rows = [
-        analysis.MetricRow(name, "pair", "", "psnr", psnr_db),
-        analysis.MetricRow(name, "pair", "", "q_index", q),
-        analysis.MetricRow(name, "pair", "", "hist_l1", l1),
-    ]
-    err = _write_csv(args.csv, rows, args.force)
-    return EXIT_OK if err is None else err
+    values = {
+        "psnr": analysis.psnr(a, b),
+        "q_index": analysis.quality_index(a, b),
+        "hist_l1": analysis.histogram_l1(a, b),
+    }
+    print(f"psnr: {values['psnr']:.2f} dB")
+    print(f"q_index: {values['q_index']:.6f}")
+    print(f"histogram_l1: {values['hist_l1']:.6f}")
+    return _write_metrics(args, args.b, "pair", values)
 
 
 def cmd_rs(args) -> int:
     img = load_pgm(args.image)
-    mask = _parse_mask(args.mask)
-    rs = analysis.rs_analysis(img, mask)
-    print(f"r_m: {rs.r_m:.6f}")
-    print(f"s_m: {rs.s_m:.6f}")
-    print(f"r_neg_m: {rs.r_neg_m:.6f}")
-    print(f"s_neg_m: {rs.s_neg_m:.6f}")
-    print(f"diff_m: {abs(rs.r_m - rs.s_m):.6f}")
-    print(f"diff_neg_m: {abs(rs.r_neg_m - rs.s_neg_m):.6f}")
-    name = Path(args.image).name
-    rows = [
-        analysis.MetricRow(name, "rs", "", "rs_r_m", rs.r_m),
-        analysis.MetricRow(name, "rs", "", "rs_s_m", rs.s_m),
-        analysis.MetricRow(name, "rs", "", "rs_r_neg_m", rs.r_neg_m),
-        analysis.MetricRow(name, "rs", "", "rs_s_neg_m", rs.s_neg_m),
-    ]
-    err = _write_csv(args.csv, rows, args.force)
-    return EXIT_OK if err is None else err
+    rs = analysis.rs_analysis(img, _parse_mask(args.mask))
+    for label in ("r_m", "s_m", "r_neg_m", "s_neg_m", "diff_m", "diff_neg_m"):
+        print(f"{label}: {getattr(rs, label):.6f}")
+    return _write_metrics(args, args.image, "rs", rs.metrics())
 
 
 def cmd_pdh(args) -> int:
@@ -175,34 +179,68 @@ def cmd_pdh(args) -> int:
     print(f"pairs: {hist.total}")
     peak = int(hist.differences[hist.counts.argmax()])
     print(f"peak difference: {peak} ({int(hist.counts.max())} pairs)")
-    name = Path(args.image).name
-    rows = [
-        analysis.MetricRow(name, "pdh", "", f"pdh_{d}", count)
-        for d, count in zip(hist.differences.tolist(), hist.counts.tolist())
-    ]
-    err = _write_csv(args.csv, rows, args.force)
-    return EXIT_OK if err is None else err
+    counts = zip(hist.differences.tolist(), hist.counts.tolist())
+    return _write_metrics(args, args.image, "pdh", {f"pdh_{d}": count for d, count in counts})
+
+
+def cmd_corpus(args) -> int:
+    if args.count < 1 or args.size < analysis.Q_WINDOW:
+        raise ValueError(f"need --count >= 1 and --size >= {analysis.Q_WINDOW}")
+    covers = Path(args.out_dir) / "covers"
+    paths = [covers / f"cover{i:02d}.pgm" for i in range(args.count)]
+    paths.append(covers.parent / "payload.pgm")
+    err = _refuse_existing(paths, args.force)
+    if err:
+        return err
+    images = synth.corpus(args.count, (args.size, args.size), seed=args.seed)
+    rng = np.random.default_rng(args.seed + 1)
+    half = args.size // 2
+    images.append(GrayImage(rng.integers(0, 256, (half, half), dtype=np.uint8)))
+    covers.mkdir(parents=True, exist_ok=True)
+    for path, img in zip(paths, images):
+        err = _write_file(path, write_pgm(img), args.force)
+        if err:
+            return err
+    print(f"wrote {args.count} covers to {covers} and {paths[-1]}")
+    return EXIT_OK
+
+
+def _print_summary(rows) -> None:
+    """Mean PSNR, RS difference and PDH correlation over covers, per (method, rate)."""
+    cells = defaultdict(lambda: defaultdict(list))
+    for row in rows:
+        cells[row.method, row.rate][row.metric].append(float(row.value))
+    print(f"{'method':<10} {'rate':>5} {'psnr':>8} {'rs_diff_m':>10} {'pdh_corr':>9}")
+    for method, rate in sorted(cells):
+        metrics = cells[method, rate]
+        print(
+            f"{method:<10} {rate:>5g} "
+            f"{np.mean(metrics['psnr']):>8.2f} "
+            f"{np.mean(metrics['rs_diff_m']):>10.4f} "
+            f"{np.mean(metrics['pdh_corr']):>9.5f}"
+        )
 
 
 def cmd_compare(args) -> int:
+    methods, rates = _parse_methods(args.methods), _parse_rates(args.rates)
     cover_dir = Path(args.cover_dir)
     paths = sorted(cover_dir.glob("*.pgm"))
     if not paths:
         return _fail(EXIT_IO, f"no .pgm covers found in {cover_dir}")
-    covers = [(p.name, load_pgm(p)) for p in paths]
+    covers = []
+    for p in paths:
+        cover = load_pgm(p)
+        if min(cover.height, cover.width) < analysis.Q_WINDOW:
+            side = analysis.Q_WINDOW
+            return _fail(EXIT_CAPACITY, f"{p} is {cover.height}x{cover.width}, under {side}x{side}")
+        covers.append((p.name, cover))
     payload = load_pgm(args.payload)
-    rows = sweep.run_sweep(
-        covers,
-        payload,
-        methods=_parse_methods(args.methods),
-        rates=_parse_rates(args.rates),
-        mu=args.mu,
-        seed=args.seed,
-    )
-    err = _write_csv(args.csv, rows, args.force)
-    if err is not None:
+    rows = sweep.run_sweep(covers, payload, methods, rates, mu=args.mu, seed=args.seed)
+    err = _write_file(args.csv, analysis.emit_csv(rows).encode("ascii"), args.force)
+    if err:
         return err
-    print(f"wrote {len(rows)} rows to {args.csv}")
+    print(f"wrote {len(rows)} rows to {args.csv}\n")
+    _print_summary(rows)
     return EXIT_OK
 
 
@@ -259,6 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="also write rows to this CSV file")
     add_force(p)
     p.set_defaults(func=cmd_pdh)
+
+    p = sub.add_parser("corpus", help="render synthetic covers and a payload for compare")
+    p.add_argument(
+        "--out-dir", required=True, metavar="DIR", help="writes DIR/covers/coverNN.pgm, DIR/payload.pgm"
+    )
+    p.add_argument("--count", type=int, default=10, help="covers; every third textured, the rest smooth")
+    p.add_argument("--size", type=int, default=512, help="cover side in pixels; the payload is half")
+    p.add_argument("--seed", type=int, default=0, help="seed for covers and payload")
+    add_force(p)
+    p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("compare", help="sweep methods x rates over a cover directory")
     p.add_argument("--cover-dir", required=True, help="directory of cover .pgm files")

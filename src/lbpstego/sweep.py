@@ -8,13 +8,21 @@ RS fractions, pixel-difference-histogram correlation).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import analysis, baselines, codec
 from .image import GrayImage
 
-PROPOSED = "proposed"
-METHOD_NAMES = (PROPOSED, "lsb1", "lsb2", "lsb3", "lsb4", "lsbm", "lsbmr")
+# Method name to baseline, or None for the LBP codec; a baseline's seed is set per call.
+METHODS = {
+    "proposed": None,
+    **{f"lsb{k}": baselines.BaselineMethod("lsb", k) for k in range(1, 5)},
+    "lsbm": baselines.BaselineMethod("lsbm"),
+    "lsbmr": baselines.BaselineMethod("lsbmr"),
+}
+METHOD_NAMES = tuple(METHODS)
 
 
 def pdh_correlation(a: GrayImage, b: GrayImage) -> float:
@@ -66,21 +74,16 @@ def embed_at_rate(
 
     Returns (stego, embedded stream bits). Rate 0 is the untouched cover.
     """
-    if method not in METHOD_NAMES:
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHOD_NAMES}")
     if rate == 0:
         return cover, 0
-    if method == PROPOSED:
+    if METHODS[method] is None:
         params = codec.StegoParams(mu)
         cropped = crop_payload_to_rate(payload, cover, params, rate)
         stego = codec.embed(cover, cropped, params)
         return stego, 8 * (codec.HEADER_BYTES + cropped.width * cropped.height)
-    if method.startswith("lsb") and method[3:].isdigit():
-        base = baselines.BaselineMethod.lsb_replace(int(method[3:]), seed=seed)
-    elif method == "lsbm":
-        base = baselines.BaselineMethod.lsb_match(seed=seed)
-    else:
-        base = baselines.BaselineMethod.lsbmr(seed=seed)
+    base = replace(METHODS[method], seed=seed)
     n_bits = int(base.capacity_bits(cover) * rate / 100.0)
     bits = payload_bits(payload, n_bits)
     return baselines.baseline_embed(cover, bits, base), n_bits
@@ -103,15 +106,12 @@ def metric_rows(
         "bit_rate": analysis.bit_rate(embedded_bits, cover),
         "embedded_bits": embedded_bits,
         "hist_l1": analysis.histogram_l1(cover, stego),
-        "rs_r_m": rs.r_m,
-        "rs_s_m": rs.s_m,
-        "rs_r_neg_m": rs.r_neg_m,
-        "rs_s_neg_m": rs.s_neg_m,
-        "rs_diff_m": abs(rs.r_m - rs.s_m),
-        "rs_diff_neg_m": abs(rs.r_neg_m - rs.s_neg_m),
+        **rs.metrics(),
+        "rs_diff_m": rs.diff_m,
+        "rs_diff_neg_m": rs.diff_neg_m,
         "pdh_corr": pdh_correlation(cover, stego),
     }
-    return [analysis.MetricRow(name, method, rate, m, v) for m, v in values.items()]
+    return analysis.metric_rows(name, method, rate, values)
 
 
 def run_sweep(

@@ -302,9 +302,9 @@ def test_criterion_9_linear_scaling():
 def test_criterion_10_baseline_round_trips():
     rng = np.random.default_rng(20240010)
     methods = {
-        "lsb_replace": lambda seed: BaselineMethod.lsb_replace(1 + seed % 4, seed=seed),
-        "lsb_match": lambda seed: BaselineMethod.lsb_match(seed=seed),
-        "lsbmr": lambda seed: BaselineMethod.lsbmr(seed=seed),
+        "lsb_replace": lambda seed: BaselineMethod("lsb", 1 + seed % 4, seed=seed),
+        "lsb_match": lambda seed: BaselineMethod("lsbm", seed=seed),
+        "lsbmr": lambda seed: BaselineMethod("lsbmr", seed=seed),
     }
     for label, make in methods.items():
         for trial in range(100):

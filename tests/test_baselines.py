@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from lbpstego.baselines import BaselineMethod, baseline_embed, baseline_extract
 from lbpstego.image import GrayImage, write_pgm
+from lbpstego.sweep import METHODS
 
 
 def rand_cover(rng, h=12, w=12):
@@ -22,59 +24,59 @@ class TestMethodValidation:
     @pytest.mark.parametrize("k", [0, 5])
     def test_replace_depth_range(self, k):
         with pytest.raises(ValueError):
-            BaselineMethod.lsb_replace(k)
+            BaselineMethod("lsb", k)
 
     def test_capacities(self):
         img = GrayImage(np.zeros((10, 10), dtype=np.uint8))
-        assert BaselineMethod.lsb_replace(3).capacity_bits(img) == 300
-        assert BaselineMethod.lsb_match().capacity_bits(img) == 100
-        assert BaselineMethod.lsbmr().capacity_bits(img) == 100
+        assert BaselineMethod("lsb", 3).capacity_bits(img) == 300
+        assert BaselineMethod("lsbm").capacity_bits(img) == 100
+        assert BaselineMethod("lsbmr").capacity_bits(img) == 100
         odd = GrayImage(np.zeros((3, 3), dtype=np.uint8))
-        assert BaselineMethod.lsbmr().capacity_bits(odd) == 8
+        assert BaselineMethod("lsbmr").capacity_bits(odd) == 8
 
 
 class TestLsbReplace:
     def test_single_bit_forced(self):
         cover = GrayImage(np.array([[100]], dtype=np.uint8))
-        out = baseline_embed(cover, [1], BaselineMethod.lsb_replace(1))
+        out = baseline_embed(cover, [1], BaselineMethod("lsb", 1))
         assert out.pixels[0, 0] == 101
 
     def test_extract_reads_lsb(self):
         stego = GrayImage(np.array([[101]], dtype=np.uint8))
-        assert list(baseline_extract(stego, 1, BaselineMethod.lsb_replace(1))) == [1]
+        assert list(baseline_extract(stego, 1, BaselineMethod("lsb", 1))) == [1]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_deviation_bound(self, k):
         rng = np.random.default_rng(k)
         cover = rand_cover(rng)
         bits = rng.integers(0, 2, k * cover.width * cover.height)
-        out = baseline_embed(cover, bits, BaselineMethod.lsb_replace(k))
+        out = baseline_embed(cover, bits, BaselineMethod("lsb", k))
         assert np.abs(out.pixels.astype(int) - cover.pixels.astype(int)).max() <= 2**k - 1
 
 
 class TestLsbMatch:
     def test_matching_pixel_untouched(self):
         cover = GrayImage(np.array([[100, 101]], dtype=np.uint8))
-        out = baseline_embed(cover, [0, 1], BaselineMethod.lsb_match(seed=9))
+        out = baseline_embed(cover, [0, 1], BaselineMethod("lsbm", seed=9))
         assert out == cover
 
     def test_boundary_pixels_step_inward(self):
         cover = GrayImage(np.array([[0, 255]], dtype=np.uint8))
-        out = baseline_embed(cover, [1, 0], BaselineMethod.lsb_match(seed=9))
+        out = baseline_embed(cover, [1, 0], BaselineMethod("lsbm", seed=9))
         assert out.pixels[0, 0] == 1 and out.pixels[0, 1] == 254
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(10)
         cover = rand_cover(rng)
         bits = rng.integers(0, 2, cover.width * cover.height)
-        method = BaselineMethod.lsb_match(seed=77)
+        method = BaselineMethod("lsbm", seed=77)
         assert baseline_embed(cover, bits, method) == baseline_embed(cover, bits, method)
 
     def test_deviation_at_most_one(self):
         rng = np.random.default_rng(11)
         cover = rand_cover(rng)
         bits = rng.integers(0, 2, cover.width * cover.height)
-        out = baseline_embed(cover, bits, BaselineMethod.lsb_match(seed=3))
+        out = baseline_embed(cover, bits, BaselineMethod("lsbm", seed=3))
         assert np.abs(out.pixels.astype(int) - cover.pixels.astype(int)).max() <= 1
 
 
@@ -82,11 +84,11 @@ class TestLsbmr:
     def test_pair_function_example(self):
         # pair (100, 50): bit1 = LSB(100) = 0, bit2 = LSB(100//2 + 50) = LSB(100) = 0
         stego = GrayImage(np.array([[100, 50]], dtype=np.uint8))
-        assert list(baseline_extract(stego, 2, BaselineMethod.lsbmr())) == [0, 0]
+        assert list(baseline_extract(stego, 2, BaselineMethod("lsbmr"))) == [0, 0]
 
     def test_no_op_when_both_bits_hold(self):
         cover = GrayImage(np.array([[100, 50]], dtype=np.uint8))
-        out = baseline_embed(cover, [0, 0], BaselineMethod.lsbmr(seed=1))
+        out = baseline_embed(cover, [0, 0], BaselineMethod("lsbmr", seed=1))
         assert out == cover
 
     def test_deviation_at_most_one_everywhere(self):
@@ -94,13 +96,13 @@ class TestLsbmr:
         for trial in range(20):
             cover = rand_cover(rng, 8, 8)
             bits = rng.integers(0, 2, 64)
-            out = baseline_embed(cover, bits, BaselineMethod.lsbmr(seed=trial))
+            out = baseline_embed(cover, bits, BaselineMethod("lsbmr", seed=trial))
             assert np.abs(out.pixels.astype(int) - cover.pixels.astype(int)).max() <= 1
 
     def test_boundary_pixels_round_trip(self):
         # force the first-pixel adjustment against both range ends
         cover = GrayImage(np.array([[0, 7, 255, 9]], dtype=np.uint8))
-        method = BaselineMethod.lsbmr(seed=5)
+        method = BaselineMethod("lsbmr", seed=5)
         for bits in ([1, 0, 0, 1], [1, 1, 0, 0]):
             out = baseline_embed(cover, bits, method)
             assert list(baseline_extract(out, 4, method)) == bits
@@ -111,12 +113,12 @@ class TestCapacityErrors:
     def test_embed_overflow(self):
         cover = GrayImage(np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(ValueError):
-            baseline_embed(cover, [0] * 5, BaselineMethod.lsb_match())
+            baseline_embed(cover, [0] * 5, BaselineMethod("lsbm"))
 
     def test_extract_overflow(self):
         stego = GrayImage(np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(ValueError):
-            baseline_extract(stego, 5, BaselineMethod.lsb_match())
+            baseline_extract(stego, 5, BaselineMethod("lsbm"))
 
 
 @settings(max_examples=40, deadline=None)
@@ -124,12 +126,7 @@ class TestCapacityErrors:
 def test_round_trip_property(seed, name):
     rng = np.random.default_rng(seed)
     cover = rand_cover(rng, int(rng.integers(2, 14)), int(rng.integers(2, 14)))
-    if name.startswith("lsb") and name[3:].isdigit():
-        method = BaselineMethod.lsb_replace(int(name[3:]), seed=seed)
-    elif name == "lsbm":
-        method = BaselineMethod.lsb_match(seed=seed)
-    else:
-        method = BaselineMethod.lsbmr(seed=seed)
+    method = replace(METHODS[name], seed=seed)
     cap = method.capacity_bits(cover)
     count = int(rng.integers(1, cap + 1))
     bits = rng.integers(0, 2, count, dtype=np.uint8)
@@ -152,7 +149,7 @@ def test_lsbmr_matches_pair_oracle(seed, edge_heavy):
     rng = np.random.default_rng(seed)
     h, w = int(rng.integers(1, 16)), int(rng.integers(1, 16))
     cover = _edge_heavy_cover(rng, h, w) if edge_heavy else rand_cover(rng, h, w)
-    method = BaselineMethod.lsbmr(seed=seed)
+    method = BaselineMethod("lsbmr", seed=seed)
     count = int(rng.integers(0, method.capacity_bits(cover) + 1))
     bits = rng.integers(0, 2, count, dtype=np.uint8)
     stego = baseline_embed(cover, bits, method)
@@ -236,11 +233,7 @@ def _golden_cover(name):
 
 
 def _golden_method(name, seed):
-    if name == "lsbm":
-        return BaselineMethod.lsb_match(seed)
-    if name == "lsbmr":
-        return BaselineMethod.lsbmr(seed)
-    return BaselineMethod.lsb_replace(int(name[3:]), seed)
+    return replace(METHODS[name], seed=seed)
 
 
 @pytest.mark.parametrize("cover_name, fill, name, seed", sorted(GOLDEN_BASELINE_SHA256))

@@ -1,7 +1,7 @@
 import csv
 import errno
-import importlib.util
 import os
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ from lbpstego.cli import (
     build_parser,
     main,
 )
-from lbpstego.image import GrayImage, save_pgm
+from lbpstego.image import GrayImage, save_pgm, write_pgm
 
 
 @pytest.fixture
@@ -205,7 +205,7 @@ def test_bad_rs_mask_is_usage_error(workspace):
 
 
 @pytest.mark.parametrize(
-    "command", ["embed", "extract", "capacity", "metrics", "rs", "pdh", "compare"]
+    "command", ["embed", "extract", "capacity", "metrics", "rs", "pdh", "corpus", "compare"]
 )
 def test_help_exits_zero_and_lists_flags(command, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -306,20 +306,139 @@ def test_written_files_get_plain_write_modes(workspace):
         ("--rates", "0", "rates must lie in (0, 100]"),
         ("--rates", "150", "rates must lie in (0, 100]"),
         ("--methods", "lsb1,hugo", "unknown method 'hugo'"),
+        ("--rates", "10,20,10", "duplicate rate 10.0"),
+        ("--rates", "10,10.0", "duplicate rate 10.0"),
+        ("--rates", "50, 5e1", "duplicate rate 50.0"),
+        ("--methods", "lsb1,lsbm,lsb1", "duplicate method 'lsb1'"),
+        ("--methods", "lsbm, lsbm", "duplicate method 'lsbm'"),
     ],
 )
 def test_detectability_sweep_rejects_bad_rates_and_methods(
-    tmp_path, monkeypatch, capsys, flag, value, message
+    workspace, capsys, flag, value, message
 ):
-    """The sweep script parses --rates/--methods as `compare` does: a bad value exits 2."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "detectability_sweep.py"
-    spec = importlib.util.spec_from_file_location("detectability_sweep", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    argv = ["detectability_sweep.py", "--csv", str(tmp_path / "sweep.csv"), "--count", "1", "--size", "32"]
-    monkeypatch.setattr("sys.argv", [*argv, flag, value])
-    with pytest.raises(SystemExit) as exc:
-        script.main()
-    assert exc.value.code == 2
+    """`compare`, the detectability sweep, rejects a bad --rates/--methods value with exit 2."""
+    tmp, _, _ = workspace
+    covers = tmp / "covers"
+    covers.mkdir()
+    save_pgm(covers / "a.pgm", synth.smooth_cover((32, 32), seed=1))
+    rc = main([
+        "compare", "--cover-dir", str(covers), "--payload", str(tmp / "payload.pgm"),
+        "--csv", str(tmp / "sweep.csv"), flag, value,
+    ])
+    assert rc == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "sweep.csv").exists()
+    assert not (tmp / "sweep.csv").exists()
+
+
+def test_compare_checks_flags_before_reading_covers(tmp_path, capsys):
+    rc = main([
+        "compare", "--cover-dir", str(tmp_path / "missing"), "--payload", str(tmp_path / "p.pgm"),
+        "--rates", "0", "--csv", str(tmp_path / "sweep.csv"),
+    ])
+    assert rc == 2
+    assert "rates must lie in (0, 100]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("shape", [(7, 7), (7, 40), (40, 7)])
+def test_compare_rejects_covers_under_quality_window(workspace, capsys, shape):
+    tmp, _, _ = workspace
+    covers = tmp / "covers"
+    covers.mkdir()
+    save_pgm(covers / "big.pgm", synth.smooth_cover((32, 32), seed=1))
+    save_pgm(covers / "small.pgm", GrayImage(np.full(shape, 100, dtype=np.uint8)))
+    rc = main([
+        "compare", "--cover-dir", str(covers), "--payload", str(tmp / "payload.pgm"),
+        "--methods", "lsb1", "--csv", str(tmp / "sweep.csv"),
+    ])
+    assert rc == EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert str(covers / "small.pgm") in err and "under 8x8" in err
+    assert not (tmp / "sweep.csv").exists()
+
+
+def test_compare_summary_means_match_csv(workspace, capsys):
+    tmp, _, _ = workspace
+    covers = tmp / "covers"
+    covers.mkdir()
+    for i, img in enumerate(synth.corpus(3, (40, 40), seed=2)):
+        save_pgm(covers / f"c{i}.pgm", img)
+    rc = main([
+        "compare", "--cover-dir", str(covers), "--payload", str(tmp / "payload.pgm"),
+        "--rates", "10,12.5,50", "--methods", "lsbmr,proposed", "--seed", "3",
+        "--csv", str(tmp / "sweep.csv"),
+    ])
+    assert rc == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == [f"wrote 216 rows to {tmp / 'sweep.csv'}", "", (
+        "method      rate     psnr  rs_diff_m  pdh_corr")]
+    values = {}
+    rows = csv.reader((tmp / "sweep.csv").read_text().splitlines()[1:])
+    for image, method, rate, metric, value in rows:
+        values.setdefault((method, float(rate), metric), []).append(float(value))
+    lines = out[3:]
+    assert len(lines) == 2 * 3  # one per (method, rate), sorted
+    cells = [(m, r) for m in ("lsbmr", "proposed") for r in (10.0, 12.5, 50.0)]
+    for line, (method, rate) in zip(lines, cells):
+        name, shown_rate, psnr, rs_diff, pdh = line.split()
+        assert (name, float(shown_rate)) == (method, rate)
+        assert float(psnr) == pytest.approx(np.mean(values[method, rate, "psnr"]), abs=0.005)
+        assert float(rs_diff) == pytest.approx(np.mean(values[method, rate, "rs_diff_m"]), abs=5e-5)
+        assert float(pdh) == pytest.approx(np.mean(values[method, rate, "pdh_corr"]), abs=5e-6)
+
+
+def _corpus_args(out, *extra):
+    return ["corpus", "--out-dir", str(out), "--count", "4", "--size", "24", "--seed", "5", *extra]
+
+
+def test_corpus_writes_synth_covers_and_payload(tmp_path, capsys):
+    assert main(_corpus_args(tmp_path / "corpus")) == EXIT_OK
+    covers = tmp_path / "corpus" / "covers"
+    assert sorted(p.name for p in covers.iterdir()) == [f"cover0{i}.pgm" for i in range(4)]
+    for i, img in enumerate(synth.corpus(4, (24, 24), seed=5)):
+        assert (covers / f"cover0{i}.pgm").read_bytes() == write_pgm(img)
+    payload = np.random.default_rng(6).integers(0, 256, (12, 12), dtype=np.uint8)
+    assert (tmp_path / "corpus" / "payload.pgm").read_bytes() == write_pgm(GrayImage(payload))
+
+
+def test_corpus_refuses_existing_target_and_writes_nothing(tmp_path):
+    out = tmp_path / "corpus"
+    out.mkdir()
+    (out / "payload.pgm").write_bytes(b"old payload")
+    assert main(_corpus_args(out)) == EXIT_EXISTS
+    assert [p.name for p in out.iterdir()] == ["payload.pgm"]  # no covers/ either
+    assert (out / "payload.pgm").read_bytes() == b"old payload"
+    assert main(_corpus_args(out, "--force")) == EXIT_OK
+    assert (out / "payload.pgm").read_bytes().startswith(b"P5\n12 12\n")
+    (out / "covers" / "cover03.pgm").unlink()
+    assert main(_corpus_args(out)) == EXIT_EXISTS  # cover00..02 still exist
+    assert not (out / "covers" / "cover03.pgm").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--size", "7"), ("--size", "1"), ("--count", "0"), ("--count", "-2")]
+)
+def test_corpus_rejects_too_small_size_or_count(tmp_path, capsys, flag, value):
+    args = ["corpus", "--out-dir", str(tmp_path / "corpus"), "--size", "16", flag, value]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: need --count >= 1 and --size >= 8")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _readme_commands(readme_text):
+    """Every `lbpstego ...` line in the README's CLI and Experiments code blocks."""
+    commands = []
+    for section in ("## CLI", "## Experiments"):
+        block = readme_text.split(section, 1)[1].split("```", 2)[1]
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("lbpstego "):
+                commands.append(line.replace("[", "").replace("]", ""))
+    return commands
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = _readme_commands(readme)
+    assert {shlex.split(c)[1] for c in commands} >= {"embed", "extract", "corpus", "compare"}
+    for command in commands:
+        build_parser().parse_args(shlex.split(command)[1:])
