@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -14,6 +15,10 @@ from .image import GrayImage
 Q_WINDOW = 8
 MAX_DIFF = 255
 DEFAULT_RS_MASK = (0, 1, 1, 0)
+
+
+class ImageTooSmallError(ValueError):
+    """An image is smaller than the least size a metric is defined for."""
 
 
 def _check_same_size(a: GrayImage, b: GrayImage) -> None:
@@ -52,39 +57,78 @@ def _window_sums(values: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def quality_index(a: GrayImage, b: GrayImage) -> float:
+class Reference:
+    """A reference image, such as a cover, with the statistics that every
+    comparison against it shares: its int32 pixels, the quality index's 8x8
+    window sums, its intensity histogram and its pixel-difference histogram.
+
+    Each is computed on first use and then kept. ``quality_index``,
+    ``histogram_l1`` and ``sweep.pdh_correlation`` take a Reference in place
+    of a ``GrayImage`` as their first argument, so a sweep computes them once
+    per cover rather than once per stego.
+    """
+
+    def __init__(self, image: GrayImage):
+        self.image = image
+
+    @classmethod
+    def of(cls, image: GrayImage | Reference) -> Reference:
+        return image if isinstance(image, Reference) else cls(image)
+
+    @cached_property
+    def pixels32(self) -> np.ndarray:
+        return self.image.pixels.astype(np.int32)
+
+    @cached_property
+    def window_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sa, saa): sums of the pixels and of their squares over every 8x8 window."""
+        if self.image.height < Q_WINDOW or self.image.width < Q_WINDOW:
+            raise ImageTooSmallError(f"images must be at least {Q_WINDOW}x{Q_WINDOW}")
+        pa = self.pixels32
+        return _window_sums(pa, Q_WINDOW), _window_sums(pa * pa, Q_WINDOW)
+
+    @cached_property
+    def histogram(self) -> np.ndarray:
+        return histogram(self.image)
+
+    @cached_property
+    def pd_counts(self) -> np.ndarray:
+        return pd_histogram(self.image).counts
+
+
+def quality_index(a: GrayImage | Reference, b: GrayImage) -> float:
     """Universal image quality index averaged over 8x8 sliding windows.
 
     Per window: 4*cov*mean_a*mean_b / ((var_a + var_b) * (mean_a^2 + mean_b^2)).
     Windows with a zero denominator count as 1 when the two windows are
     pixel-identical and are dropped otherwise; nan if no window qualifies.
+    ``a`` may be a :class:`Reference`, whose window sums are then reused.
     """
-    _check_same_size(a, b)
-    if a.height < Q_WINDOW or a.width < Q_WINDOW:
-        raise ValueError(f"images must be at least {Q_WINDOW}x{Q_WINDOW}")
-    pa = a.pixels.astype(np.int32)
-    pb = b.pixels.astype(np.int32)
+    ref = Reference.of(a)
+    _check_same_size(ref.image, b)
+    sa, saa = ref.window_sums
+    pa, pb = ref.pixels32, b.pixels.astype(np.int32)
     n = Q_WINDOW * Q_WINDOW
-    sa, sb = _window_sums(pa, Q_WINDOW), _window_sums(pb, Q_WINDOW)
-    saa, sbb = _window_sums(pa * pa, Q_WINDOW), _window_sums(pb * pb, Q_WINDOW)
+    sb, sbb = _window_sums(pb, Q_WINDOW), _window_sums(pb * pb, Q_WINDOW)
     sab = _window_sums(pa * pb, Q_WINDOW)
 
     # For 8-bit pixels every n-scaled moment below, and 4*sa*sb, is under
     # 2**31, so it is exact in int32; numerator and denominator, scaled by
-    # n**4, stay below 2**58 in int64. Both variances are >= 0, so the
-    # denominator is 0 exactly when both are 0 or both means are 0.
-    num = (n * sab - sa * sb).astype(np.int64)
-    num *= 4 * sa * sb
-    den = (n * saa - sa * sa + n * sbb - sb * sb).astype(np.int64)
-    den *= sa * sa + sb * sb
+    # n**4, stay below 2**58, and float64 multiplication rounds their exact
+    # products once, as an int64 product converted to float64 would. Both
+    # variances are >= 0, so the denominator is 0 exactly when both are 0
+    # or both means are 0.
+    num = np.multiply(n * sab - sa * sb, 4 * sa * sb, dtype=np.float64)
+    den = np.multiply(n * saa - sa * sa + n * sbb - sb * sb, sa * sa + sb * sb, dtype=np.float64)
     degenerate = den == 0
-    den[degenerate] = 1
-    q = num / den
-    q[degenerate] = 1.0
-    keep = ~degenerate | (sa == sb)
-    if not keep.any():
-        return float("nan")
-    return float(q[keep].mean())
+    if degenerate.any():
+        keep = ~degenerate | (sa == sb)
+        if not keep.any():
+            return float("nan")
+        q = np.divide(num, den, out=np.ones_like(num), where=~degenerate)[keep]
+    else:
+        q = num / den
+    return float(q.mean())
 
 
 def bit_rate(embedded_bits: int, cover: GrayImage) -> float:
@@ -97,11 +141,12 @@ def histogram(img: GrayImage) -> np.ndarray:
     return np.bincount(img.pixels.reshape(-1), minlength=256).astype(np.int64)
 
 
-def histogram_l1(a: GrayImage, b: GrayImage) -> float:
+def histogram_l1(a: GrayImage | Reference, b: GrayImage) -> float:
     """L1 distance between intensity histograms, normalized to [0, 1]."""
-    _check_same_size(a, b)
-    dist = int(np.abs(histogram(a) - histogram(b)).sum())
-    return dist / (2 * a.width * a.height)
+    ref = Reference.of(a)
+    _check_same_size(ref.image, b)
+    dist = int(np.abs(ref.histogram - histogram(b)).sum())
+    return dist / (2 * b.width * b.height)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +172,7 @@ class PdHistogram:
 def pd_histogram(img: GrayImage) -> PdHistogram:
     """Histogram of right-neighbor differences pixel(r, c+1) - pixel(r, c)."""
     if img.width < 2:
-        raise ValueError("pixel-difference histogram needs width >= 2")
+        raise ImageTooSmallError("pixel-difference histogram needs width >= 2")
     px = img.pixels.astype(np.int16)
     d = (px[:, 1:] - px[:, :-1]).reshape(-1)
     counts = np.bincount(d + MAX_DIFF, minlength=2 * MAX_DIFF + 1).astype(np.int64)
@@ -156,6 +201,24 @@ class RsStatistics:
         return {f"rs_{f.name}": getattr(self, f.name) for f in fields(self)}
 
 
+# F1(x) = x ^ 1 and F-1(x) = F1(x + 1) - 1 (Fridrich, Goljan & Du 2001),
+# saturating at 0/255, as tables indexed by the pixel value.
+_FLIPS = {
+    1: np.arange(256, dtype=np.int16) ^ 1,
+    -1: np.clip((np.arange(1, 257, dtype=np.int16) ^ 1) - 1, 0, 255),
+}
+
+
+def _smoothness(rows, dtype) -> np.ndarray:
+    """sum(|rows[j+1] - rows[j]|) for every column, summed row pair by row pair."""
+    total = np.zeros(rows[0].shape, dtype)
+    for prev, cur in zip(rows, rows[1:]):
+        step = np.subtract(cur, prev)
+        np.abs(step, out=step)
+        total += step
+    return total
+
+
 def rs_analysis(img: GrayImage, mask=DEFAULT_RS_MASK) -> RsStatistics:
     """RS statistics over row-wise non-overlapping groups of ``len(mask)`` pixels.
 
@@ -167,21 +230,21 @@ def rs_analysis(img: GrayImage, mask=DEFAULT_RS_MASK) -> RsStatistics:
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size < 2:
         raise ValueError("mask needs at least 2 entries")
-    if not np.isin(mask, (-1, 0, 1)).all():
+    if np.abs(mask).max() > 1:
         raise ValueError("mask entries must be -1, 0, or 1")
     n = int(mask.size)
     if img.width < n:
-        raise ValueError(f"image width {img.width} is smaller than the group size {n}")
+        raise ImageTooSmallError(f"image width {img.width} is smaller than the group size {n}")
     per_row = img.width // n
-    groups = img.pixels[:, : per_row * n].astype(np.int16).reshape(img.height, per_row, n)
-    base = np.abs(np.diff(groups, axis=-1)).sum(axis=-1)
+    # One contiguous row per mask position: cols[j] is pixel j of every group.
+    cols = img.pixels[:, : per_row * n].reshape(-1, n).T.copy()
+    rows = cols.astype(np.int16)
+    dtype = np.min_scalar_type(-MAX_DIFF * (n - 1))  # holds any group's smoothness
+    base = _smoothness(rows, dtype)
     fractions = []
     for m in (mask, -mask):
-        # F1(x) = x ^ 1 and F-1(x) = F1(x + 1) - 1 (Fridrich, Goljan & Du 2001),
-        # saturating at 0/255; columns with mask 0 come through unchanged.
-        neg, flip = (m < 0).astype(np.int16), np.abs(m).astype(np.int16)
-        flipped = np.clip(((groups + neg) ^ flip) - neg, 0, 255)
-        after = np.abs(np.diff(flipped, axis=-1)).sum(axis=-1)
+        flipped = [_FLIPS[e].take(c) if e else r for e, c, r in zip(m.tolist(), cols, rows)]
+        after = _smoothness(flipped, dtype)
         fractions += [float(np.count_nonzero(c) / base.size) for c in (after > base, after < base)]
     return RsStatistics(*fractions)
 

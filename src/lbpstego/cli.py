@@ -166,8 +166,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_rs(args) -> int:
-    img = load_pgm(args.image)
-    rs = analysis.rs_analysis(img, _parse_mask(args.mask))
+    mask = _parse_mask(args.mask)
+    rs = analysis.rs_analysis(load_pgm(args.image), mask)
     for label in ("r_m", "s_m", "r_neg_m", "s_neg_m", "diff_m", "diff_neg_m"):
         print(f"{label}: {getattr(rs, label):.6f}")
     return _write_metrics(args, args.image, "rs", rs.metrics())
@@ -337,7 +337,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_IO, str(exc))
     except PgmError as exc:
         return _fail(EXIT_FORMAT, str(exc))
-    except (codec.CapacityError, codec.CoverTooSmallError) as exc:
+    except (codec.CapacityError, codec.CoverTooSmallError, analysis.ImageTooSmallError) as exc:
         return _fail(EXIT_CAPACITY, str(exc))
     except codec.CorruptStreamError as exc:
         return _fail(EXIT_STREAM, str(exc))

@@ -25,9 +25,9 @@ METHODS = {
 METHOD_NAMES = tuple(METHODS)
 
 
-def pdh_correlation(a: GrayImage, b: GrayImage) -> float:
+def pdh_correlation(a: GrayImage | analysis.Reference, b: GrayImage) -> float:
     """Pearson correlation between the two pixel-difference histograms."""
-    x = analysis.pd_histogram(a).counts.astype(np.float64)
+    x = analysis.Reference.of(a).pd_counts.astype(np.float64)
     y = analysis.pd_histogram(b).counts.astype(np.float64)
     xc, yc = x - x.mean(), y - y.mean()
     denom = float(np.sqrt((xc * xc).sum() * (yc * yc).sum()))
@@ -93,23 +93,28 @@ def metric_rows(
     name: str,
     method: str,
     rate: float,
-    cover: GrayImage,
+    cover: GrayImage | analysis.Reference,
     stego: GrayImage,
     embedded_bits: int,
     rs_mask=analysis.DEFAULT_RS_MASK,
 ) -> list[analysis.MetricRow]:
-    """All sweep metrics for one (image, method, rate) cell, in fixed order."""
+    """All sweep metrics for one (image, method, rate) cell, in fixed order.
+
+    Pass the cover as an :class:`analysis.Reference` to share its statistics
+    between cells.
+    """
+    ref = analysis.Reference.of(cover)
     rs = analysis.rs_analysis(stego, rs_mask)
     values = {
-        "psnr": analysis.psnr(cover, stego),
-        "q_index": analysis.quality_index(cover, stego),
-        "bit_rate": analysis.bit_rate(embedded_bits, cover),
+        "psnr": analysis.psnr(ref.image, stego),
+        "q_index": analysis.quality_index(ref, stego),
+        "bit_rate": analysis.bit_rate(embedded_bits, ref.image),
         "embedded_bits": embedded_bits,
-        "hist_l1": analysis.histogram_l1(cover, stego),
+        "hist_l1": analysis.histogram_l1(ref, stego),
         **rs.metrics(),
         "rs_diff_m": rs.diff_m,
         "rs_diff_neg_m": rs.diff_neg_m,
-        "pdh_corr": pdh_correlation(cover, stego),
+        "pdh_corr": pdh_correlation(ref, stego),
     }
     return analysis.metric_rows(name, method, rate, values)
 
@@ -126,12 +131,14 @@ def run_sweep(
     """Fixed-order sweep: rows sorted by image name, then method, then rate.
 
     ``covers`` is an iterable of (name, GrayImage) pairs; rates are percent
-    of each method's own capacity.
+    of each method's own capacity. Each cover's statistics are computed
+    once, for all of its cells, and dropped before the next cover.
     """
     rows = []
     for name, cover in sorted(covers, key=lambda nc: nc[0]):
+        ref = analysis.Reference(cover)
         for method in sorted(methods):
             for rate in sorted(rates):
                 stego, bits = embed_at_rate(cover, payload, method, rate, mu=mu, seed=seed)
-                rows.extend(metric_rows(name, method, rate, cover, stego, bits, rs_mask))
+                rows.extend(metric_rows(name, method, rate, ref, stego, bits, rs_mask))
     return rows

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from rs_oracle import rs_closed_form
 
 from lbpstego.analysis import (
+    ImageTooSmallError,
     MetricRow,
+    Reference,
     RsStatistics,
     bit_rate,
     emit_csv,
@@ -89,6 +92,22 @@ class TestQualityIndex:
                 GrayImage(np.zeros((8, 8), dtype=np.uint8)),
                 GrayImage(np.zeros((8, 9), dtype=np.uint8)),
             )
+
+    def test_reference_gives_the_same_values_as_the_image(self, smooth512):
+        """One Reference, reused against several images, matches each fresh call."""
+        rng = np.random.default_rng(11)
+        cover = GrayImage(smooth512.pixels[:40, :57])
+        ref = Reference(cover)
+        others = [
+            GrayImage(rng.integers(0, 256, (40, 57), dtype=np.uint8)),
+            cover,
+            GrayImage(255 - cover.pixels),
+            GrayImage(cover.pixels ^ 1),
+        ]
+        for b in others:
+            assert repr(quality_index(ref, b)) == repr(quality_index(cover, b))
+            assert repr(histogram_l1(ref, b)) == repr(histogram_l1(cover, b))
+        assert Reference.of(ref) is ref and Reference.of(cover).image is cover
 
     def test_full_mu4_embed_on_textured_cover_scores_high(self, textured512):
         """A full-capacity mu=4 embed keeps Q >= 0.99 on a high-variance cover.
@@ -238,12 +257,55 @@ class TestRsAnalysis:
             expect += [regular / total, singular / total]
         assert rs_analysis(GrayImage(px), mask) == RsStatistics(*expect)
 
+    @pytest.mark.parametrize("size", [129, 130, 200])
+    def test_long_masks_sum_smoothness_past_int16(self, size):
+        """A group of 130 or more 0/255 pixels can be smoother than int16 holds."""
+        rng = np.random.default_rng(10)
+        img = GrayImage(rng.choice(np.array([0, 1, 254, 255], dtype=np.uint8), (6, 2 * size + 3)))
+        mask = tuple(rng.choice([-1, 0, 1], size).tolist())
+        assert repr(rs_analysis(img, mask)) == repr(rs_closed_form(img, mask))
+        stripes = GrayImage(np.tile(np.array([0, 255], dtype=np.uint8), (3, size)))
+        assert rs_analysis(stripes, (1,) * size) == rs_closed_form(stripes, (1,) * size)
+
     def test_null_hypothesis_on_natural_covers(self, corpus10):
         """Unmodified covers keep the mask and its negation in agreement."""
         for _, cover in corpus10:
             rs = rs_analysis(cover)
             assert abs(rs.r_m - rs.r_neg_m) < 0.05
             assert abs(rs.s_m - rs.s_neg_m) < 0.05
+
+
+@pytest.mark.parametrize(
+    "metric, shape",
+    [
+        pytest.param(lambda img: quality_index(img, img), (7, 12), id="quality_index"),
+        pytest.param(lambda img: quality_index(Reference(img), img), (12, 7), id="reference"),
+        pytest.param(pd_histogram, (5, 1), id="pd_histogram"),
+        pytest.param(rs_analysis, (5, 3), id="rs_analysis"),
+    ],
+)
+def test_too_small_images_raise_image_too_small(metric, shape):
+    with pytest.raises(ImageTooSmallError):
+        metric(GrayImage(np.zeros(shape, dtype=np.uint8)))
+
+
+@st.composite
+def rs_cases(draw):
+    """A mask of 2..9 entries and an image at least as wide: random, 0/1/254/255 or flat."""
+    mask = tuple(draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=2, max_size=9)))
+    shape = (draw(st.integers(1, 12)), draw(st.integers(len(mask), len(mask) + 40)))
+    kind = draw(st.sampled_from(("random", "edges", "flat")))
+    if kind == "flat":
+        return GrayImage(np.full(shape, draw(st.integers(0, 255)), dtype=np.uint8)), mask
+    elements = st.integers(0, 255) if kind == "random" else st.sampled_from((0, 1, 254, 255))
+    return GrayImage(draw(hnp.arrays(np.uint8, shape, elements=elements))), mask
+
+
+@settings(max_examples=300)
+@given(rs_cases())
+def test_rs_analysis_equals_closed_form_oracle(case):
+    img, mask = case
+    assert repr(rs_analysis(img, mask)) == repr(rs_closed_form(img, mask))
 
 
 class TestEmitCsv:

@@ -202,6 +202,31 @@ def test_bad_rs_mask_is_usage_error(workspace):
     tmp, _, _ = workspace
     assert main(["rs", "--image", str(tmp / "cover.pgm"), "--mask", "0210"]) == 2
     assert main(["rs", "--image", str(tmp / "cover.pgm"), "--mask", "1"]) == 2
+    # The mask is checked before the image is read.
+    assert main(["rs", "--image", str(tmp / "missing.pgm"), "--mask", "0210"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, shape, message",
+    [
+        ("metrics", (7, 7), "at least 8x8"),
+        ("metrics", (7, 40), "at least 8x8"),
+        ("pdh", (5, 1), "width >= 2"),
+        ("rs", (1, 5), "smaller than the group size 6"),
+    ],
+)
+def test_image_too_small_for_the_metric_maps_to_exit_5(tmp_path, capsys, command, shape, message):
+    """The epilog documents exit 5 for a too-small image, for every analysis command."""
+    image = tmp_path / "small.pgm"
+    save_pgm(image, GrayImage(np.full(shape, 100, dtype=np.uint8)))
+    argv = {
+        "metrics": ["metrics", "--a", str(image), "--b", str(image)],
+        "pdh": ["pdh", "--image", str(image)],
+        "rs": ["rs", "--image", str(image), "--mask", "0,1,1,-1,-1,0"],
+    }[command]
+    assert main(argv + ["--csv", str(tmp_path / "out.csv")]) == EXIT_CAPACITY
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize(

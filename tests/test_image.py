@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 from lbpstego.image import (
     GrayImage,
     PgmDepthError,
+    PgmError,
     PgmFormatError,
     PgmTruncatedError,
     read_pgm,
@@ -141,3 +142,37 @@ class TestWritePgm:
 def test_pgm_round_trip(pixels):
     img = GrayImage(pixels)
     assert read_pgm(write_pgm(img)) == img
+
+
+# Bytes a PGM header is made of, so mutations reach past the magic-number check.
+_HEADER_BYTES = st.sampled_from(list(b"P5 \t\n\r#0123456789+-_.e") + [0, 0xB2, 0xFF])
+
+
+@st.composite
+def pgm_like_bytes(draw):
+    """Random bytes, or a valid PGM truncated, with bytes overwritten, or with bytes inserted."""
+    kind = draw(st.sampled_from(("random", "truncated", "overwritten", "inserted")))
+    if kind == "random":
+        return draw(st.binary(max_size=80))
+    shape = st.tuples(st.integers(1, 6), st.integers(1, 6))
+    data = bytearray(write_pgm(GrayImage(draw(hnp.arrays(np.uint8, shape)))))
+    if kind == "truncated":
+        return bytes(data[: draw(st.integers(0, len(data) - 1))])
+    edits = draw(st.lists(st.tuples(st.integers(0, len(data)), _HEADER_BYTES), min_size=1, max_size=4))
+    for at, byte in edits:
+        if kind == "overwritten":
+            data[min(at, len(data) - 1)] = byte
+        else:
+            data.insert(at, byte)
+    return bytes(data)
+
+
+@settings(max_examples=400)
+@given(pgm_like_bytes())
+def test_read_pgm_returns_an_image_or_raises_pgm_error(data):
+    try:
+        img = read_pgm(data)
+    except PgmError:
+        return
+    assert isinstance(img, GrayImage)
+    assert len(data) >= img.width * img.height

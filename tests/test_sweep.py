@@ -3,7 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from lbpstego.analysis import emit_csv
+from lbpstego import synth
+from lbpstego.analysis import Reference, emit_csv
 from lbpstego.codec import HEADER_BYTES, StegoParams, capacity
 from lbpstego.image import GrayImage
 from lbpstego.sweep import (
@@ -72,6 +73,27 @@ def test_sweep_rows_sorted_and_deterministic(cover, payload):
     assert keys == sorted(keys, key=lambda k: (k[0], k[1], k[2]))
     again = run_sweep(covers, payload, ["lsbm", "proposed"], [20, 10], mu=1, seed=4)
     assert emit_csv(rows) == emit_csv(again)
+
+
+def test_pdh_correlation_takes_a_reference(cover):
+    others = [cover, GrayImage(255 - cover.pixels), GrayImage(cover.pixels ^ 1)]
+    ref = Reference(cover)
+    for b in others:
+        assert repr(pdh_correlation(ref, b)) == repr(pdh_correlation(cover, b))
+
+
+def test_each_cover_sweeps_as_if_alone(payload):
+    """A sweep over three covers is the three one-cover sweeps joined in order,
+    so no cover's statistics reach another cover's cells."""
+    rng = np.random.default_rng(102)
+    covers = [
+        ("a.pgm", synth.smooth_cover((48, 48), seed=5)),
+        ("b.pgm", synth.textured_cover((48, 48), seed=6)),
+        ("c.pgm", GrayImage(rng.integers(0, 256, (48, 48), dtype=np.uint8))),
+    ]
+    args = (payload, ["proposed", "lsbmr", "lsb2"], [10, 60])
+    joined = [row for one in covers for row in run_sweep([one], *args, mu=2, seed=3)]
+    assert emit_csv(run_sweep(covers[::-1], *args, mu=2, seed=3)) == emit_csv(joined)
 
 
 def test_sweep_covers_all_cells(cover, payload):
