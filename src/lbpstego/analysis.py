@@ -28,16 +28,19 @@ def _check_same_size(a: GrayImage, b: GrayImage) -> None:
         )
 
 
-def mean_squared_error(a: GrayImage, b: GrayImage) -> float:
-    """Mean squared pixel difference, accumulated exactly in integers."""
-    _check_same_size(a, b)
-    diff = a.pixels.astype(np.int32)
-    diff -= b.pixels
+def mean_squared_error(a: GrayImage | Reference, b: GrayImage) -> float:
+    """Mean squared pixel difference, accumulated exactly in integers.
+
+    ``a`` may be a :class:`Reference`, whose int32 pixels are then reused.
+    """
+    ref = Reference.of(a)
+    _check_same_size(ref.image, b)
+    diff = np.subtract(ref.pixels32, b.pixels)
     diff *= diff
     return int(diff.sum(dtype=np.int64)) / diff.size
 
 
-def psnr(a: GrayImage, b: GrayImage) -> float:
+def psnr(a: GrayImage | Reference, b: GrayImage) -> float:
     """10*log10(255^2 / MSE) in decibels; identical images give ``math.inf``."""
     mse = mean_squared_error(a, b)
     if mse == 0.0:
@@ -60,9 +63,9 @@ def _window_sums(values: np.ndarray, size: int) -> np.ndarray:
 class Reference:
     """A reference image, such as a cover, with the statistics that every
     comparison against it shares: its int32 pixels, the quality index's 8x8
-    window sums, its intensity histogram and its pixel-difference histogram.
+    window terms, its intensity histogram and its pixel-difference histogram.
 
-    Each is computed on first use and then kept. ``quality_index``,
+    Each is computed on first use and then kept. ``psnr``, ``quality_index``,
     ``histogram_l1`` and ``sweep.pdh_correlation`` take a Reference in place
     of a ``GrayImage`` as their first argument, so a sweep computes them once
     per cover rather than once per stego.
@@ -80,12 +83,15 @@ class Reference:
         return self.image.pixels.astype(np.int32)
 
     @cached_property
-    def window_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sa, saa): sums of the pixels and of their squares over every 8x8 window."""
+    def window_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sa, n * saa - sa * sa, sa * sa) over every 8x8 window, in int32:
+        sa and saa sum the pixels and their squares, and n = 64."""
         if self.image.height < Q_WINDOW or self.image.width < Q_WINDOW:
             raise ImageTooSmallError(f"images must be at least {Q_WINDOW}x{Q_WINDOW}")
         pa = self.pixels32
-        return _window_sums(pa, Q_WINDOW), _window_sums(pa * pa, Q_WINDOW)
+        sa, saa = _window_sums(pa, Q_WINDOW), _window_sums(pa * pa, Q_WINDOW)
+        sa2 = sa * sa
+        return sa, Q_WINDOW * Q_WINDOW * saa - sa2, sa2
 
     @cached_property
     def histogram(self) -> np.ndarray:
@@ -102,11 +108,11 @@ def quality_index(a: GrayImage | Reference, b: GrayImage) -> float:
     Per window: 4*cov*mean_a*mean_b / ((var_a + var_b) * (mean_a^2 + mean_b^2)).
     Windows with a zero denominator count as 1 when the two windows are
     pixel-identical and are dropped otherwise; nan if no window qualifies.
-    ``a`` may be a :class:`Reference`, whose window sums are then reused.
+    ``a`` may be a :class:`Reference`, whose window terms are then reused.
     """
     ref = Reference.of(a)
     _check_same_size(ref.image, b)
-    sa, saa = ref.window_sums
+    sa, var_a, sa2 = ref.window_terms
     pa, pb = ref.pixels32, b.pixels.astype(np.int32)
     n = Q_WINDOW * Q_WINDOW
     sb, sbb = _window_sums(pb, Q_WINDOW), _window_sums(pb * pb, Q_WINDOW)
@@ -119,7 +125,7 @@ def quality_index(a: GrayImage | Reference, b: GrayImage) -> float:
     # variances are >= 0, so the denominator is 0 exactly when both are 0
     # or both means are 0.
     num = np.multiply(n * sab - sa * sb, 4 * sa * sb, dtype=np.float64)
-    den = np.multiply(n * saa - sa * sa + n * sbb - sb * sb, sa * sa + sb * sb, dtype=np.float64)
+    den = np.multiply(var_a + n * sbb - sb * sb, sa2 + sb * sb, dtype=np.float64)
     degenerate = den == 0
     if degenerate.any():
         keep = ~degenerate | (sa == sb)

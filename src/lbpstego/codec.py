@@ -37,6 +37,11 @@ _SPREAD = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).view(_W
 _PAIR_LO = 0b01010101
 _PAIR_HI = 0b10101010
 
+# Most blocks the kernel handles at once. Its largest temporaries hold 8 bytes
+# per block, so each slab's stay near 128 KB, well inside L2, and are reused
+# from the heap rather than mapped and faulted in afresh at every step.
+_SLAB_BLOCKS = 16384
+
 
 class CapacityError(ValueError):
     """Payload (plus header) does not fit in the cover."""
@@ -108,11 +113,21 @@ def sync_neighbor(center, cover_value, stego_value, mu: int):
     return stego_value + np.subtract(now_ge, was_ge, dtype=dtype) * dtype.type(1 << mu)
 
 
-def _tiles(pixels: np.ndarray, grid: BlockGrid, n: int) -> np.ndarray:
-    """The block rows holding the first ``n`` blocks, as a (rows, block_cols,
-    3, 3) view of ``pixels``."""
-    rows, cols = -(-n // grid.block_cols), grid.block_cols
-    return pixels[: 3 * rows, : 3 * cols].reshape(rows, 3, cols, 3).swapaxes(1, 2)
+def _slabs(pixels: np.ndarray, grid: BlockGrid, n: int):
+    """Walk the block rows holding the first ``n`` blocks, at most
+    ``_SLAB_BLOCKS`` blocks (but at least one block row) at a time.
+
+    Yield ``(start, stop, tiles)``: ``tiles`` is a (rows, block_cols, 3, 3)
+    view of ``pixels`` whose first ``stop - start`` blocks are blocks
+    ``start..stop``. Only the last slab may end inside its last row.
+    """
+    cols = grid.block_cols
+    rows = -(-n // cols)
+    step = max(1, _SLAB_BLOCKS // cols)
+    for top in range(0, rows, step):
+        bottom = min(top + step, rows)
+        tiles = pixels[3 * top : 3 * bottom, : 3 * cols].reshape(bottom - top, 3, cols, 3)
+        yield top * cols, min(n, bottom * cols), tiles.swapaxes(1, 2)
 
 
 def _rings(tiles: np.ndarray) -> np.ndarray:
@@ -157,11 +172,11 @@ def clamp_cover(
     if used_blocks <= 0:
         return cover
     out = cover.pixels.copy()
-    tiles = _tiles(out, grid, used_blocks)
-    rings = _rings(tiles)
-    used = rings[:used_blocks]
-    np.clip(used, params.clamp_lo, params.clamp_hi, out=used)
-    tiles[:, :, _RING_ROWS, _RING_COLS] = rings.reshape(len(tiles), -1, 8)
+    for start, stop, tiles in _slabs(out, grid, used_blocks):
+        rings = _rings(tiles)
+        used = rings[: stop - start]
+        np.clip(used, params.clamp_lo, params.clamp_hi, out=used)
+        tiles[:, :, _RING_ROWS, _RING_COLS] = rings.reshape(len(tiles), -1, 8)
     return GrayImage(out)
 
 
@@ -195,15 +210,23 @@ def embed(cover: GrayImage, payload: GrayImage, params: StegoParams) -> GrayImag
     mu = params.mu
     used_blocks = -(-len(stream) // mu)
     padded = stream + b"\x00" * (used_blocks * mu - len(stream))
+    data = np.frombuffer(padded, dtype=np.uint8).reshape(used_blocks, mu)
 
     out = cover.pixels.copy()
-    tiles = _tiles(out, grid, used_blocks)
+    for start, stop, tiles in _slabs(out, grid, used_blocks):
+        _embed_slab(tiles, data[start:stop], params)
+    return _adopt(out)
+
+
+def _embed_slab(tiles: np.ndarray, data: np.ndarray, params: StegoParams) -> None:
+    """Write the (blocks, mu) stream bytes ``data`` into the first blocks of
+    ``tiles``, in place; the rest of ``tiles`` is left as it was."""
+    n, mu = data.shape
     rings = _rings(tiles)
-    ring = rings[:used_blocks]
+    ring = rings[:n]
     np.clip(ring, params.clamp_lo, params.clamp_hi, out=ring)
-    centers = tiles[:, :, 1, 1].reshape(-1)[:used_blocks]
+    centers = tiles[:, :, 1, 1].reshape(-1)[:n]
     codes = lbp_codes(centers, ring)
-    data = np.frombuffer(padded, dtype=np.uint8).reshape(used_blocks, mu)
     shuffled = shuffle_byte(codes[:, None] ^ data)
 
     # Byte t of the block lands at bit mu - 1 - t of every ring neighbor;
@@ -216,20 +239,21 @@ def embed(cover: GrayImage, payload: GrayImage, params: StegoParams) -> GrayImag
     candidate = (words & ~(_ONES * ((1 << mu) - 1)) | inserted).astype(_WORD, copy=False)
     ring[:] = sync_neighbor(centers[:, None], ring, candidate.view(np.uint8).reshape(-1, 8), mu)
     tiles[:, :, _RING_ROWS, _RING_COLS] = rings.reshape(len(tiles), -1, 8)
-    return _adopt(out)
 
 
 def _decode_stream(pixels: np.ndarray, grid: BlockGrid, n: int, mu: int) -> np.ndarray:
     """Recover the stream bytes carried by the first ``n`` blocks."""
-    tiles = _tiles(pixels, grid, n)
-    rings = _rings(tiles)[:n]
-    codes = lbp_codes(tiles[:, :, 1, 1].reshape(-1)[:n], rings)
-    words = rings.view(_WORD).reshape(-1)
-    # Bit mu - 1 - t of every ring neighbor belongs to byte t.
-    shuffled = np.empty((n, mu), dtype=np.uint8)
-    for t in range(mu):
-        shuffled[:, t] = ((words >> (mu - 1 - t)) & _ONES) * PACK >> 56
-    return (shuffle_byte(shuffled) ^ codes[:, None]).reshape(-1)
+    out = np.empty((n, mu), dtype=np.uint8)
+    for start, stop, tiles in _slabs(pixels, grid, n):
+        rings = _rings(tiles)[: stop - start]
+        codes = lbp_codes(tiles[:, :, 1, 1].reshape(-1)[: stop - start], rings)
+        words = rings.view(_WORD).reshape(-1)
+        # Bit mu - 1 - t of every ring neighbor belongs to byte t.
+        shuffled = out[start:stop]
+        for t in range(mu):
+            shuffled[:, t] = ((words >> (mu - 1 - t)) & _ONES) * PACK >> 56
+        np.bitwise_xor(shuffle_byte(shuffled), codes[:, None], out=shuffled)
+    return out.reshape(-1)
 
 
 def extract(stego: GrayImage, params: StegoParams) -> GrayImage:
@@ -252,4 +276,4 @@ def extract(stego: GrayImage, params: StegoParams) -> GrayImage:
         raise CorruptStreamError(f"header announces {needed} stream bytes, image holds {cap}")
     used_blocks = -(-needed // mu)
     stream = _decode_stream(stego.pixels, grid, used_blocks, mu)
-    return GrayImage(stream[HEADER_BYTES:needed].reshape(rows, cols))
+    return _adopt(stream[HEADER_BYTES:needed].reshape(rows, cols))

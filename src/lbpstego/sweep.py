@@ -106,7 +106,7 @@ def metric_rows(
     ref = analysis.Reference.of(cover)
     rs = analysis.rs_analysis(stego, rs_mask)
     values = {
-        "psnr": analysis.psnr(ref.image, stego),
+        "psnr": analysis.psnr(ref, stego),
         "q_index": analysis.quality_index(ref, stego),
         "bit_rate": analysis.bit_rate(embedded_bits, ref.image),
         "embedded_bits": embedded_bits,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from block_oracle import block_center, embed_block, lsb_mask, sync_step
 
-from lbpstego import synth
+from lbpstego import codec, synth
 from lbpstego.codec import (
     HEADER_BYTES,
     BlockGrid,
@@ -26,6 +26,14 @@ from lbpstego.image import GrayImage, write_pgm
 
 def gray(rows):
     return GrayImage(np.array(rows, dtype=np.int64))
+
+
+def slab_sizes(cover):
+    """Values of ``codec._SLAB_BLOCKS`` that put one block row in each slab,
+    two rows (2.5 rows' worth of blocks, rounded down to whole rows), and
+    the default."""
+    block_cols = BlockGrid.for_image(cover).block_cols
+    return 1, int(2.5 * block_cols), codec._SLAB_BLOCKS
 
 
 class TestStegoParams:
@@ -258,13 +266,29 @@ class TestEmbedExtract:
         assert out == payload
 
     @pytest.mark.parametrize("mu", [1, 2, 3, 4])
-    def test_round_trip_max_payload_64x64(self, mu):
+    def test_round_trip_max_payload_64x64(self, mu, monkeypatch):
         rng = np.random.default_rng(mu)
         cover = GrayImage(rng.integers(0, 256, (64, 64), dtype=np.uint8))
         params = StegoParams(mu)
         rows, cols = max_payload_shape(cover, params)
         payload = GrayImage(rng.integers(0, 256, (rows, cols), dtype=np.uint8))
-        assert extract(embed(cover, payload, params), params) == payload
+        for slab in slab_sizes(cover):
+            monkeypatch.setattr(codec, "_SLAB_BLOCKS", slab)
+            assert extract(embed(cover, payload, params), params) == payload, slab
+
+    @pytest.mark.parametrize("mu", [1, 4])
+    def test_full_capacity_600x600_across_default_slabs(self, mu, monkeypatch):
+        # 200 x 200 = 40,000 blocks: three slabs at the default size
+        rng = np.random.default_rng(600 + mu)
+        cover = GrayImage(rng.integers(0, 256, (600, 600), dtype=np.uint8))
+        params = StegoParams(mu)
+        payload = GrayImage(
+            rng.integers(0, 256, max_payload_shape(cover, params), dtype=np.uint8)
+        )
+        stego = embed(cover, payload, params)
+        assert extract(stego, params) == payload
+        monkeypatch.setattr(codec, "_SLAB_BLOCKS", 10**9)
+        assert embed(cover, payload, params) == stego
 
     def test_payload_too_large(self):
         cover = GrayImage(np.zeros((9, 9), dtype=np.uint8))
@@ -350,10 +374,12 @@ def _golden_cover(name):
 
 
 @pytest.mark.parametrize("name, fill, mu", sorted(GOLDEN_STEGO_SHA256))
-def test_stego_bytes_match_golden_digest(name, fill, mu):
+def test_stego_bytes_match_golden_digest(name, fill, mu, monkeypatch):
     cover = _golden_cover(name)
     params = StegoParams(mu)
     shape = max_payload_shape(cover, params) if fill == "full" else (2, 9)
     payload = GrayImage(np.random.default_rng(mu).integers(0, 256, shape, dtype=np.uint8))
-    digest = hashlib.sha256(write_pgm(embed(cover, payload, params))).hexdigest()
-    assert digest == GOLDEN_STEGO_SHA256[name, fill, mu]
+    for slab in slab_sizes(cover):
+        monkeypatch.setattr(codec, "_SLAB_BLOCKS", slab)
+        digest = hashlib.sha256(write_pgm(embed(cover, payload, params))).hexdigest()
+        assert digest == GOLDEN_STEGO_SHA256[name, fill, mu], slab
