@@ -124,8 +124,9 @@ def quality_index(a: GrayImage | Reference, b: GrayImage) -> float:
     # products once, as an int64 product converted to float64 would. Both
     # variances are >= 0, so the denominator is 0 exactly when both are 0
     # or both means are 0.
-    num = np.multiply(n * sab - sa * sb, 4 * sa * sb, dtype=np.float64)
-    den = np.multiply(var_a + n * sbb - sb * sb, sa2 + sb * sb, dtype=np.float64)
+    sa_sb, sb2 = sa * sb, sb * sb
+    num = np.multiply(n * sab - sa_sb, 4 * sa_sb, dtype=np.float64)
+    den = np.multiply(var_a + n * sbb - sb2, sa2 + sb2, dtype=np.float64)
     degenerate = den == 0
     if degenerate.any():
         keep = ~degenerate | (sa == sb)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, codec, sweep, synth
-from .image import GrayImage, PgmError, load_pgm, write_pgm
+from .image import GrayImage, PgmError, load_pgm, load_raster, pgm_chunks, write_pgm
 
 EXIT_OK = 0
 EXIT_USAGE = 2  # argparse's own code for bad flags
@@ -48,9 +48,10 @@ def _refuse_existing(paths, force: bool) -> int:
     return EXIT_OK
 
 
-def _write_file(path, data: bytes, force: bool) -> int:
-    """Write ``data`` beside ``path`` and rename it over ``path``, so a failed
-    or interrupted write never leaves a partial file behind."""
+def _write_file(path, chunks, force: bool) -> int:
+    """Write the bytes-like ``chunks`` in turn beside ``path`` and rename the
+    result over ``path``, so a failed or interrupted write never leaves a
+    partial file behind."""
     err = _refuse_existing([path], force)
     if err:
         return err
@@ -63,7 +64,8 @@ def _write_file(path, data: bytes, force: bool) -> int:
         return _fail(EXIT_IO, f"cannot write {path}: no such directory")
     try:
         with f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
         if exists:
             shutil.copymode(target, tmp)
         os.replace(tmp, target)
@@ -78,7 +80,7 @@ def _write_metrics(args, image: str, method: str, values: dict) -> int:
     if args.csv is None:
         return EXIT_OK
     rows = analysis.metric_rows(Path(image).name, method, "", values)
-    return _write_file(args.csv, analysis.emit_csv(rows).encode("ascii"), args.force)
+    return _write_file(args.csv, [analysis.emit_csv(rows).encode("ascii")], args.force)
 
 
 def _reject_duplicates(kind: str, values: list) -> None:
@@ -117,17 +119,17 @@ def _parse_methods(text: str) -> list[str]:
 
 
 def cmd_embed(args) -> int:
-    cover = load_pgm(args.cover)
+    cover = load_raster(args.cover)  # not needed again: the stego is written into it
     payload = load_pgm(args.payload)
     params = codec.StegoParams(args.mu)
     stego = codec.embed(cover, payload, params)
-    err = _write_file(args.out, write_pgm(stego), args.force)
+    err = _write_file(args.out, pgm_chunks(stego), args.force)
     if err:
         return err
     stream = codec.HEADER_BYTES + payload.width * payload.height
     print(
         f"embedded {payload.width * payload.height} payload bytes "
-        f"({stream} stream bytes, {100.0 * stream / codec.capacity(cover, params):.1f}% of capacity)"
+        f"({stream} stream bytes, {100.0 * stream / codec.capacity(stego, params):.1f}% of capacity)"
     )
     return EXIT_OK
 
@@ -135,7 +137,7 @@ def cmd_embed(args) -> int:
 def cmd_extract(args) -> int:
     stego = load_pgm(args.stego)
     payload = codec.extract(stego, codec.StegoParams(args.mu))
-    err = _write_file(args.out, write_pgm(payload), args.force)
+    err = _write_file(args.out, [write_pgm(payload)], args.force)
     if err:
         return err
     print(f"extracted {payload.height}x{payload.width} payload")
@@ -198,7 +200,7 @@ def cmd_corpus(args) -> int:
     images.append(GrayImage(rng.integers(0, 256, (half, half), dtype=np.uint8)))
     covers.mkdir(parents=True, exist_ok=True)
     for path, img in zip(paths, images):
-        err = _write_file(path, write_pgm(img), args.force)
+        err = _write_file(path, [write_pgm(img)], args.force)
         if err:
             return err
     print(f"wrote {args.count} covers to {covers} and {paths[-1]}")
@@ -236,7 +238,7 @@ def cmd_compare(args) -> int:
         covers.append((p.name, cover))
     payload = load_pgm(args.payload)
     rows = sweep.run_sweep(covers, payload, methods, rates, mu=args.mu, seed=args.seed)
-    err = _write_file(args.csv, analysis.emit_csv(rows).encode("ascii"), args.force)
+    err = _write_file(args.csv, [analysis.emit_csv(rows).encode("ascii")], args.force)
     if err:
         return err
     print(f"wrote {len(rows)} rows to {args.csv}\n")

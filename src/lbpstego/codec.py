@@ -188,21 +188,33 @@ def _frame(payload: GrayImage) -> bytes:
     )
 
 
-def embed(cover: GrayImage, payload: GrayImage, params: StegoParams) -> GrayImage:
+def embed(
+    cover: GrayImage | np.ndarray, payload: GrayImage, params: StegoParams
+) -> GrayImage:
     """Hide ``payload`` inside ``cover``, returning the stego image.
+
+    A :class:`GrayImage` cover is left as it was. A cover given as a
+    writable, C-ordered ``(height, width)`` uint8 array is embedded into in
+    place and becomes the stego's pixels, read-only from then on; this saves
+    a cover-sized copy for a caller that does not keep the cover.
 
     Blocks beyond the consumed stream are byte-identical to the cover;
     :func:`extract` with the same ``params`` recovers the payload exactly.
     """
-    grid = BlockGrid.for_image(cover)
+    if isinstance(cover, GrayImage):
+        out = cover.pixels.copy()
+    else:
+        out, flags = cover, cover.flags
+        if out.ndim != 2 or out.dtype != np.uint8 or not (flags.writeable and flags.c_contiguous):
+            raise ValueError("a cover array must be writable, C-ordered, 2-D and uint8")
+    height, width = out.shape
+    grid = BlockGrid(height // 3, width // 3)
     if grid.n_blocks == 0:
-        raise CoverTooSmallError(
-            f"{cover.height}x{cover.width} cover has no complete 3x3 block"
-        )
+        raise CoverTooSmallError(f"{height}x{width} cover has no complete 3x3 block")
     if payload.height > MAX_PAYLOAD_SIDE or payload.width > MAX_PAYLOAD_SIDE:
         raise CapacityError(f"payload dimensions exceed {MAX_PAYLOAD_SIDE}")
     stream = _frame(payload)
-    cap = capacity(cover, params)
+    cap = grid.n_blocks * params.mu
     if len(stream) > cap:
         raise CapacityError(
             f"stream needs {len(stream)} bytes, cover holds {cap} at mu={params.mu}"
@@ -212,7 +224,6 @@ def embed(cover: GrayImage, payload: GrayImage, params: StegoParams) -> GrayImag
     padded = stream + b"\x00" * (used_blocks * mu - len(stream))
     data = np.frombuffer(padded, dtype=np.uint8).reshape(used_blocks, mu)
 
-    out = cover.pixels.copy()
     for start, stop, tiles in _slabs(out, grid, used_blocks):
         _embed_slab(tiles, data[start:stop], params)
     return _adopt(out)

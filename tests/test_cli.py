@@ -296,6 +296,58 @@ def test_interrupted_write_leaves_no_partial_file(workspace, monkeypatch, existi
     assert sorted(p.name for p in tmp.iterdir()) == before  # no temp file left
 
 
+@pytest.mark.parametrize("existing", [False, True])
+def test_write_failing_on_the_raster_leaves_no_partial_file(workspace, monkeypatch, existing):
+    tmp, _, _ = workspace
+    out = tmp / "stego.pgm"
+    if existing:
+        out.write_bytes(b"old stego bytes")
+    before = sorted(p.name for p in tmp.iterdir())
+    on_disk = []
+
+    class RasterFails(_HalfWriter):
+        """Writes the first chunk, the PGM header, to disk; the next write fails."""
+
+        def write(self, data):
+            if self.f.tell():
+                on_disk.append(os.path.getsize(self.f.name))
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.f.write(data)
+            self.f.flush()
+
+    monkeypatch.setattr(cli, "open", RasterFails, raising=False)
+    rc = main(_embed_args(tmp, out, *(["--force"] if existing else [])))
+    assert rc == EXIT_IO
+    assert on_disk == [len(b"P5\n96 96\n255\n")]
+    if existing:
+        assert out.read_bytes() == b"old stego bytes"
+    else:
+        assert not out.exists()
+    assert sorted(p.name for p in tmp.iterdir()) == before  # no temp file left
+
+
+@pytest.mark.parametrize("mu", [1, 2, 3, 4])
+def test_embed_over_its_own_cover_writes_the_same_stego(workspace, mu):
+    tmp, _, _ = workspace
+    cover, apart = str(tmp / "cover.pgm"), tmp / "apart.pgm"
+    args = ["embed", "--cover", cover, "--payload", str(tmp / "payload.pgm"), "--mu", str(mu)]
+    assert main([*args, "--out", str(apart)]) == EXIT_OK
+    assert main([*args, "--out", cover, "--force"]) == EXIT_OK
+    assert (tmp / "cover.pgm").read_bytes() == apart.read_bytes()
+
+
+def test_stego_truncated_mid_raster_maps_to_exit_4(workspace, capsys):
+    tmp, _, _ = workspace
+    stego = tmp / "stego.pgm"
+    assert main(_embed_args(tmp, stego)) == EXIT_OK
+    data = stego.read_bytes()
+    stego.write_bytes(data[: len(data) // 2])
+    rc = main(["extract", "--stego", str(stego), "--out", str(tmp / "back.pgm"), "--mu", "1"])
+    assert rc == EXIT_FORMAT
+    assert capsys.readouterr().err.startswith("error: raster holds")
+    assert not (tmp / "back.pgm").exists()
+
+
 def test_missing_output_directory_names_the_target(workspace, capsys):
     tmp, _, _ = workspace
     out = tmp / "missing" / "stego.pgm"

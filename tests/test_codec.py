@@ -258,6 +258,35 @@ class TestEmbedExtract:
         with pytest.raises(ValueError):
             stego.pixels[0, 0] = 1
 
+    @pytest.mark.parametrize("mu", [1, 2, 3, 4])
+    def test_cover_array_is_embedded_in_place_and_image_cover_is_not(self, mu):
+        rng = np.random.default_rng(40 + mu)
+        cover = GrayImage(rng.integers(0, 256, (31, 35), dtype=np.uint8))
+        before = cover.pixels.copy()
+        payload = GrayImage(rng.integers(0, 256, (4, 6 * mu), dtype=np.uint8))
+        stego = embed(cover, payload, StegoParams(mu))
+        assert np.array_equal(cover.pixels, before)
+
+        raster = before.copy()
+        in_place = embed(raster, payload, StegoParams(mu))
+        assert in_place.pixels is raster and in_place == stego
+        with pytest.raises(ValueError):
+            raster[0, 0] = 1
+
+    @pytest.mark.parametrize(
+        "raster",
+        [
+            np.zeros((9, 9), dtype=np.uint8).T[:, ::2],
+            np.zeros((9, 9), dtype=np.int16),
+            np.zeros((9, 9, 1), dtype=np.uint8),
+            GrayImage(np.zeros((9, 9), dtype=np.uint8)).pixels,
+        ],
+        ids=["strided", "int16", "3-d", "read-only"],
+    )
+    def test_cover_array_must_be_writable_c_ordered_2d_uint8(self, raster):
+        with pytest.raises(ValueError, match="cover array"):
+            embed(raster, GrayImage(np.array([[7]], dtype=np.uint8)), StegoParams(1))
+
     def test_all_zero_payload_round_trip(self):
         rng = np.random.default_rng(1)
         cover = GrayImage(rng.integers(0, 256, (30, 30), dtype=np.uint8))

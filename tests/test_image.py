@@ -1,16 +1,23 @@
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lbpstego import image
 from lbpstego.image import (
     GrayImage,
     PgmDepthError,
     PgmError,
     PgmFormatError,
     PgmTruncatedError,
+    load_pgm,
+    load_raster,
     read_pgm,
+    save_pgm,
     write_pgm,
 )
 
@@ -129,6 +136,54 @@ class TestWritePgm:
     def test_deterministic(self):
         img = GrayImage(np.arange(12, dtype=np.uint8).reshape(3, 4))
         assert write_pgm(img) == write_pgm(GrayImage(img.pixels))
+
+    def test_save_pgm_writes_the_write_pgm_bytes(self, tmp_path):
+        img = GrayImage(np.arange(12, dtype=np.uint8).reshape(3, 4))
+        save_pgm(tmp_path / "a.pgm", img)
+        assert (tmp_path / "a.pgm").read_bytes() == write_pgm(img)
+
+
+class TestLoadPgm:
+    IMG = GrayImage(np.arange(20, dtype=np.uint8).reshape(4, 5))
+
+    def test_loaded_image_is_read_only(self, tmp_path):
+        save_pgm(tmp_path / "a.pgm", self.IMG)
+        img = load_pgm(tmp_path / "a.pgm")
+        assert img == self.IMG
+        with pytest.raises(ValueError):
+            img.pixels[0, 0] = 1
+        with pytest.raises(ValueError):
+            img.pixels.setflags(write=True)
+
+    def test_loaded_raster_is_writable_and_private(self, tmp_path):
+        save_pgm(tmp_path / "a.pgm", self.IMG)
+        raster = load_raster(tmp_path / "a.pgm")
+        assert np.array_equal(raster, self.IMG.pixels) and raster.flags.c_contiguous
+        raster[0, 0] = 99
+        assert load_raster(tmp_path / "a.pgm")[0, 0] == 0
+
+    def test_file_that_shrinks_while_read_is_truncated(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.pgm"
+        save_pgm(path, self.IMG)
+
+        def fstat_then_shrink(fd):
+            st = os.fstat(fd)
+            os.truncate(path, st.st_size - 3)
+            return st
+
+        monkeypatch.setattr(image, "os", SimpleNamespace(fstat=fstat_then_shrink))
+        with pytest.raises(PgmTruncatedError):
+            load_pgm(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_reads_a_pipe(self):
+        r, w = os.pipe()
+        try:
+            os.write(w, write_pgm(self.IMG))
+            os.close(w)
+            assert load_pgm(f"/dev/fd/{r}") == self.IMG
+        finally:
+            os.close(r)
 
 
 @settings(max_examples=60)
