@@ -113,20 +113,37 @@ def quality_index(a: GrayImage | Reference, b: GrayImage) -> float:
     ref = Reference.of(a)
     _check_same_size(ref.image, b)
     sa, var_a, sa2 = ref.window_terms
-    pa, pb = ref.pixels32, b.pixels.astype(np.int32)
     n = Q_WINDOW * Q_WINDOW
-    sb, sbb = _window_sums(pb, Q_WINDOW), _window_sums(pb * pb, Q_WINDOW)
-    sab = _window_sums(pa * pb, Q_WINDOW)
+    # One int32 buffer holds pb, then pa * pb, then pb * pb, and is freed
+    # before the float64 stage.
+    prod = b.pixels.astype(np.int32)
+    sb = _window_sums(prod, Q_WINDOW)
+    prod *= ref.pixels32
+    sab = _window_sums(prod, Q_WINDOW)
+    np.multiply(b.pixels, b.pixels, out=prod, dtype=np.int32)
+    sbb = _window_sums(prod, Q_WINDOW)
+    del prod
 
     # For 8-bit pixels every n-scaled moment below, and 4*sa*sb, is under
     # 2**31, so it is exact in int32; numerator and denominator, scaled by
     # n**4, stay below 2**58, and float64 multiplication rounds their exact
     # products once, as an int64 product converted to float64 would. Both
     # variances are >= 0, so the denominator is 0 exactly when both are 0
-    # or both means are 0.
-    sa_sb, sb2 = sa * sb, sb * sb
-    num = np.multiply(n * sab - sa_sb, 4 * sa_sb, dtype=np.float64)
-    den = np.multiply(var_a + n * sbb - sb2, sa2 + sb2, dtype=np.float64)
+    # or both means are 0. Each int32 term is updated in place and dropped
+    # once its float64 product exists.
+    sa_sb = sa * sb
+    sab *= n
+    sab -= sa_sb
+    sa_sb *= 4
+    num = np.multiply(sab, sa_sb, dtype=np.float64)
+    del sab, sa_sb
+    sb2 = sb * sb
+    sbb *= n
+    sbb += var_a
+    sbb -= sb2
+    sb2 += sa2
+    den = np.multiply(sbb, sb2, dtype=np.float64)
+    del sbb, sb2
     degenerate = den == 0
     if degenerate.any():
         keep = ~degenerate | (sa == sb)
@@ -134,7 +151,7 @@ def quality_index(a: GrayImage | Reference, b: GrayImage) -> float:
             return float("nan")
         q = np.divide(num, den, out=np.ones_like(num), where=~degenerate)[keep]
     else:
-        q = num / den
+        q = np.divide(num, den, out=num)
     return float(q.mean())
 
 

@@ -25,14 +25,13 @@ from .lbp import NEIGHBOR_OFFSETS, PACK, lbp_codes
 HEADER_BYTES = 4
 MAX_PAYLOAD_SIDE = 0xFFFF
 
-# Positions of the ring neighbors inside a 3x3 block, in NEIGHBOR_OFFSETS order.
-_RING_ROWS, _RING_COLS = 1 + np.array(NEIGHBOR_OFFSETS).T
+# (row, col) of each ring neighbor inside a 3x3 block, in NEIGHBOR_OFFSETS order.
+_RING_POS = tuple((1 + dr, 1 + dc) for dr, dc in NEIGHBOR_OFFSETS)
 # A block's ring, gathered into one 8-byte row, is read as one little-endian
 # word whose byte q is ring neighbor q.
 _WORD = np.dtype("<u8")
 _ONES = np.uint64(0x0101010101010101)
-# Byte q of _SPREAD[s] is bit 7 - q of s, the bit ring neighbor q carries.
-_SPREAD = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).view(_WORD).reshape(-1)
+_EVEN_BYTES = np.uint64(0x00FF00FF00FF00FF)
 
 _PAIR_LO = 0b01010101
 _PAIR_HI = 0b10101010
@@ -98,6 +97,15 @@ def shuffle_byte(value):
     return ((value & _PAIR_LO) << 1) | ((value & _PAIR_HI) >> 1)
 
 
+# Byte q of _SPREAD[x] is bit 7 - q of shuffle_byte(x), the bit ring neighbor q
+# carries when a block's pattern XOR its payload byte is x.
+_SPREAD = (
+    np.unpackbits(shuffle_byte(np.arange(256, dtype=np.uint8))[:, None], axis=1)
+    .view(_WORD)
+    .reshape(-1)
+)
+
+
 def sync_neighbor(center, cover_value, stego_value, mu: int):
     """Restore the cover's >=/< order between center and a substituted neighbor.
 
@@ -131,9 +139,25 @@ def _slabs(pixels: np.ndarray, grid: BlockGrid, n: int):
 
 
 def _rings(tiles: np.ndarray) -> np.ndarray:
-    """Copy each block's ring into one contiguous row of a (blocks, 8) array;
-    write it back through the same index of ``tiles``."""
-    return np.ascontiguousarray(tiles[:, :, _RING_ROWS, _RING_COLS]).reshape(-1, 8)
+    """Copy each block's ring into one contiguous row of a (rows, block_cols, 8)
+    array, one strided copy per ring position; :func:`_put_rings` writes it back."""
+    rings = np.empty(tiles.shape[:2] + (8,), dtype=np.uint8)
+    for q, (r, c) in enumerate(_RING_POS):
+        rings[:, :, q] = tiles[:, :, r, c]
+    return rings
+
+
+def _put_rings(tiles: np.ndarray, rings: np.ndarray) -> None:
+    """Write the rows of :func:`_rings` back into the rings of ``tiles``."""
+    for q, (r, c) in enumerate(_RING_POS):
+        tiles[:, :, r, c] = rings[:, :, q]
+
+
+def _centers(tiles: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` blocks' centers as a contiguous (n, 8) array, each
+    center repeated in all eight bytes of its row, to compare against rings."""
+    words = (tiles[:, :, 1, 1] * _ONES).reshape(-1)[:n]
+    return words.view(np.uint8).reshape(n, 8)
 
 
 def capacity(cover: GrayImage, params: StegoParams) -> int:
@@ -174,9 +198,9 @@ def clamp_cover(
     out = cover.pixels.copy()
     for start, stop, tiles in _slabs(out, grid, used_blocks):
         rings = _rings(tiles)
-        used = rings[: stop - start]
+        used = rings.reshape(-1, 8)[: stop - start]
         np.clip(used, params.clamp_lo, params.clamp_hi, out=used)
-        tiles[:, :, _RING_ROWS, _RING_COLS] = rings.reshape(len(tiles), -1, 8)
+        _put_rings(tiles, rings)
     return GrayImage(out)
 
 
@@ -234,36 +258,47 @@ def _embed_slab(tiles: np.ndarray, data: np.ndarray, params: StegoParams) -> Non
     ``tiles``, in place; the rest of ``tiles`` is left as it was."""
     n, mu = data.shape
     rings = _rings(tiles)
-    ring = rings[:n]
+    ring = rings.reshape(-1, 8)[:n]
     np.clip(ring, params.clamp_lo, params.clamp_hi, out=ring)
-    centers = tiles[:, :, 1, 1].reshape(-1)[:n]
+    centers = _centers(tiles, n)
     codes = lbp_codes(centers, ring)
-    shuffled = shuffle_byte(codes[:, None] ^ data)
 
     # Byte t of the block lands at bit mu - 1 - t of every ring neighbor;
     # each ring byte takes at most 4 bits, so the shifts never carry.
-    inserted = _SPREAD[shuffled[:, 0]]
+    inserted = _SPREAD.take(codes ^ data[:, 0])
     for t in range(1, mu):
         inserted <<= 1
-        inserted |= _SPREAD[shuffled[:, t]]
+        inserted |= _SPREAD.take(codes ^ data[:, t])
+    # Keep each ring byte's bits above the low mu.
     words = ring.view(_WORD).reshape(-1)
-    candidate = (words & ~(_ONES * ((1 << mu) - 1)) | inserted).astype(_WORD, copy=False)
-    ring[:] = sync_neighbor(centers[:, None], ring, candidate.view(np.uint8).reshape(-1, 8), mu)
-    tiles[:, :, _RING_ROWS, _RING_COLS] = rings.reshape(len(tiles), -1, 8)
+    inserted |= words & ~(_ONES * ((1 << mu) - 1))
+    ring[:] = sync_neighbor(centers, ring, inserted.view(np.uint8).reshape(n, 8), mu)
+    _put_rings(tiles, rings)
 
 
 def _decode_stream(pixels: np.ndarray, grid: BlockGrid, n: int, mu: int) -> np.ndarray:
     """Recover the stream bytes carried by the first ``n`` blocks."""
     out = np.empty((n, mu), dtype=np.uint8)
     for start, stop, tiles in _slabs(pixels, grid, n):
-        rings = _rings(tiles)[: stop - start]
-        codes = lbp_codes(tiles[:, :, 1, 1].reshape(-1)[: stop - start], rings)
-        words = rings.view(_WORD).reshape(-1)
-        # Bit mu - 1 - t of every ring neighbor belongs to byte t.
-        shuffled = out[start:stop]
+        ring = _rings(tiles).reshape(-1, 8)[: stop - start]
+        codes = lbp_codes(_centers(tiles, stop - start), ring)
+        # Packing a ring word with its adjacent bytes swapped gives the pair
+        # shuffle of its plain pack, which undoes the embed's shuffle. The
+        # ring is a private copy, free to be shifted in place. Bit mu - 1 - t
+        # of every ring neighbor belongs to byte t.
+        words = ring.view(_WORD).reshape(-1)
+        swapped = words & _EVEN_BYTES
+        swapped <<= 8
+        words >>= 8
+        words &= _EVEN_BYTES
+        swapped |= words
+        bits = np.empty_like(swapped)
+        packed = bits.view(np.uint8)[7::8]  # the top byte of each word
         for t in range(mu):
-            shuffled[:, t] = ((words >> (mu - 1 - t)) & _ONES) * PACK >> 56
-        np.bitwise_xor(shuffle_byte(shuffled), codes[:, None], out=shuffled)
+            np.right_shift(swapped, mu - 1 - t, out=bits)
+            bits &= _ONES
+            bits *= PACK
+            np.bitwise_xor(packed, codes, out=out[start:stop, t])
     return out.reshape(-1)
 
 

@@ -13,12 +13,15 @@ PACK = np.uint64(0x8040201008040201)
 
 
 def lbp_codes(centers: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
-    """8-bit patterns of ``centers`` (n,) against ``neighbors`` (n, 8), as uint8.
+    """8-bit patterns of ``centers`` against ``neighbors`` (n, 8), as uint8.
+
+    ``centers`` is (n,), or (n, 8) with each center repeated along its row,
+    which compares without broadcasting.
 
     Bit ``7 - q`` is 1 iff the center is >= neighbor column ``q`` (ties count
     as 1). Columns follow ``NEIGHBOR_OFFSETS`` order, so the right neighbor
     decides the most significant bit.
     """
     ge = np.empty(neighbors.shape, dtype=bool)
-    np.greater_equal(centers[:, None], neighbors, out=ge)
+    np.greater_equal(centers[:, None] if centers.ndim == 1 else centers, neighbors, out=ge)
     return (ge.view("<u8").reshape(-1) * PACK >> 56).astype(np.uint8)

@@ -4,8 +4,6 @@ block coordinates, the per-block embedder, and the block-stack decoder."""
 import numpy as np
 
 from lbpstego.codec import (
-    _RING_COLS,
-    _RING_ROWS,
     BlockGrid,
     StegoParams,
     shuffle_byte,
@@ -13,6 +11,9 @@ from lbpstego.codec import (
 )
 from lbpstego.image import GrayImage
 from lbpstego.lbp import NEIGHBOR_OFFSETS, lbp_codes
+
+# Positions of the ring neighbors inside a 3x3 block, in NEIGHBOR_OFFSETS order.
+_RING_ROWS, _RING_COLS = 1 + np.array(NEIGHBOR_OFFSETS).T
 
 
 def lbp_code(image: GrayImage, row: int, col: int) -> int:

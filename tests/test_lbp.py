@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lbpstego.image import GrayImage
-from lbpstego.lbp import NEIGHBOR_OFFSETS, lbp_codes
+from lbpstego.lbp import NEIGHBOR_OFFSETS, PACK, lbp_codes
 
 
 def block_image(center, ring):
@@ -67,6 +67,26 @@ def test_code_depends_only_on_comparison_signs(center, ring):
     substitute = [center if center >= v else center + 1 for v in ring]
     img2 = block_image(center, substitute)
     assert lbp_code(img, 1, 1) == lbp_code(img2, 1, 1)
+
+
+@pytest.mark.parametrize("repeated", [False, True], ids=["centers_n", "centers_n_by_8"])
+def test_eight_blocks_compare_row_by_row(repeated):
+    """With exactly 8 blocks, (8,) centers against (8, 8) neighbors would also
+    broadcast along the neighbor axis without error; each row must still be
+    its own block's pattern, for (n,) centers and for (n, 8) repeated ones."""
+    rng = np.random.default_rng(9)
+    centers = rng.integers(0, 256, 8).astype(np.uint8)
+    neighbors = rng.integers(0, 256, (8, 8)).astype(np.uint8)
+    given_centers = np.repeat(centers[:, None], 8, axis=1) if repeated else centers
+    codes = lbp_codes(given_centers, neighbors)
+    assert codes.shape == (8,)
+    for i in range(8):
+        img = block_image(int(centers[i]), [int(v) for v in neighbors[i]])
+        assert int(codes[i]) == lbp_code(img, 1, 1)
+    # On these values the careless broadcast gives other codes, so this test
+    # tells the two apart.
+    careless = np.greater_equal(centers, neighbors).view("<u8").reshape(-1) * PACK >> 56
+    assert not np.array_equal(codes, careless)
 
 
 def test_vectorized_matches_scalar():

@@ -2,11 +2,13 @@
 pattern preservation, center fixity, bounded distortion, untouched tails."""
 
 import numpy as np
+import pytest
 from block_oracle import _decode_stream as oracle_decode_stream
 from block_oracle import block_center, embed_block, lbp_code
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lbpstego import codec
 from lbpstego.codec import (
     HEADER_BYTES,
     BlockGrid,
@@ -22,6 +24,10 @@ from lbpstego.image import GrayImage
 
 # Values at and next to the ends of the byte range and of the clamp bounds.
 EDGE_VALUES = (0, 1, 2, 127, 128, 253, 254, 255)
+# One block row per slab, then the default: the covers below hold up to 7
+# block rows, so the first value splits every used block run across slabs
+# and usually ends it inside the last slab's row.
+SLAB_SIZES = (1, codec._SLAB_BLOCKS)
 
 
 @st.composite
@@ -96,23 +102,30 @@ def test_structure_preservation(case):
 @settings(max_examples=60, deadline=None)
 @given(embed_cases())
 def test_vectorized_embed_matches_block_reference(case):
-    """The fast path must agree with the per-block reference implementation."""
+    """The fast path must agree with the per-block reference implementation,
+    at every slab size."""
     cover, payload, mu = case
     if payload is None:
         return
     params = StegoParams(mu)
-    stego = embed(cover, payload, params)
     grid = BlockGrid.for_image(cover)
     stream = _frame(payload)
     used = -(-len(stream) // mu)
     stream += b"\x00" * (used * mu - len(stream))
     clamped = clamp_cover(cover, grid, used, params)
+    expect = cover.pixels.copy()
     for b in range(used):
         k, l = divmod(b, grid.block_cols)
         r, c = block_center(k, l)
         block = clamped.pixels[r - 1 : r + 2, c - 1 : c + 2]
-        expect = embed_block(block, stream[b * mu : (b + 1) * mu], params)
-        assert np.array_equal(expect, stego.pixels[r - 1 : r + 2, c - 1 : c + 2])
+        carried = stream[b * mu : (b + 1) * mu]
+        expect[r - 1 : r + 2, c - 1 : c + 2] = embed_block(block, carried, params)
+    for slab in SLAB_SIZES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codec, "_SLAB_BLOCKS", slab)
+            assert np.array_equal(embed(cover, payload, params).pixels, expect), slab
+            again = clamp_cover(cover, grid, used, params)
+            assert np.array_equal(again.pixels, clamped.pixels), slab
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,7 +153,8 @@ def test_decode_matches_block_stack_oracle(case, data):
         image = embed(cover, payload, StegoParams(mu))
     grid = BlockGrid.for_image(cover)
     n = data.draw(st.integers(1, grid.n_blocks))
-    assert np.array_equal(
-        _decode_stream(image.pixels, grid, n, mu),
-        oracle_decode_stream(image.pixels, grid, n, mu),
-    )
+    expect = oracle_decode_stream(image.pixels, grid, n, mu)
+    for slab in SLAB_SIZES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codec, "_SLAB_BLOCKS", slab)
+            assert np.array_equal(_decode_stream(image.pixels, grid, n, mu), expect), slab

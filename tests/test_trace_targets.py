@@ -52,3 +52,39 @@ def test_traced_sweep_attributes_each_metric_per_cell():
     assert tracer.counts["analysis.pd_histogram.calls"] == 1 + cells
     assert len(tracer.pd_images) == 1 + cells
     assert len(tracer.cell_seconds()) == cells
+
+
+def test_traced_codec_attributes_each_kernel_layer_per_slab():
+    """An embed and an extract over more than one slab run one pattern span,
+    and (embed only) one order-sync span, per slab, and count every block
+    they code: a kernel refactor cannot drop the per-layer figures to 0."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    cover = synth.smooth_cover((512, 512), seed=5)
+    params = codec.StegoParams(1)
+    shape = codec.max_payload_shape(cover, params)
+    payload = GrayImage(np.random.default_rng(6).integers(0, 256, shape, dtype=np.uint8))
+    grid = codec.BlockGrid.for_image(cover)
+    used = -(-(codec.HEADER_BYTES + payload.height * payload.width) // params.mu)
+    header = -(-codec.HEADER_BYTES // params.mu)
+    slabs = len(list(codec._slabs(cover.pixels, grid, used)))
+    assert slabs >= 2
+    tracer.install({"cli": cli, "codec": codec, "baselines": baselines,
+                    "analysis": analysis, "sweep": sweep})
+    try:
+        tracer.begin_op("embed")
+        stego = codec.embed(cover, payload, params)
+        tracer.begin_op("extract")
+        assert codec.extract(stego, params) == payload
+    finally:
+        tracer.uninstall()
+    spans = {kind: Counter(rec[tracing.NAME] for rec in tracer.spans
+                           if tracer.op_kinds[rec[tracing.OP]] == kind)
+             for kind in ("embed", "extract")}
+    assert spans["embed"]["lbp.lbp_codes"] == slabs
+    assert spans["embed"]["codec.sync_neighbor"] == slabs
+    # extract decodes the header's blocks (one slab), then every used block
+    assert spans["extract"]["lbp.lbp_codes"] == 1 + slabs
+    assert spans["extract"]["codec.sync_neighbor"] == 0
+    assert tracer.counts["codec.sync_neighbor.calls"] == slabs
+    assert tracer.counts["lbp.codes_computed"] == used + header + used
