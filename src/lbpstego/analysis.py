@@ -31,13 +31,14 @@ def _check_same_size(a: GrayImage, b: GrayImage) -> None:
 def mean_squared_error(a: GrayImage | Reference, b: GrayImage) -> float:
     """Mean squared pixel difference, accumulated exactly in integers.
 
-    ``a`` may be a :class:`Reference`, whose int32 pixels are then reused.
+    ``a`` may be a :class:`Reference`, whose int32 pixels and changed-row
+    band for ``b`` are then reused.
     """
     ref = Reference.of(a)
-    _check_same_size(ref.image, b)
-    diff = np.subtract(ref.pixels32, b.pixels)
+    lo, hi = ref.band(b)
+    diff = np.subtract(ref.pixels32[lo:hi], b.pixels[lo:hi])
     diff *= diff
-    return int(diff.sum(dtype=np.int64)) / diff.size
+    return int(diff.sum(dtype=np.int64)) / b.pixels.size
 
 
 def psnr(a: GrayImage | Reference, b: GrayImage) -> float:
@@ -48,35 +49,63 @@ def psnr(a: GrayImage | Reference, b: GrayImage) -> float:
     return 10.0 * math.log10(255.0**2 / mse)
 
 
-def _window_sums(values: np.ndarray, size: int) -> np.ndarray:
-    """Sliding size x size window sums, one axis at a time from shifted slices."""
-    h, w = values.shape
-    rows = values[: h - size + 1].copy()
-    for k in range(1, size):
-        rows += values[k : h - size + 1 + k]
-    out = rows[:, : w - size + 1].copy()
-    for k in range(1, size):
-        out += rows[:, k : w - size + 1 + k]
+def _window_sums(values: np.ndarray) -> np.ndarray:
+    """Sliding 8x8 window sums, by doubling: sums of 2, 4, then 8 consecutive
+    rows, then the same along columns."""
+    out = values
+    for span in (1, 2, 4):
+        out = out[:-span] + out[span:]
+    for span in (1, 2, 4):
+        out = out[:, :-span] + out[:, span:]
     return out
+
+
+def _pd_counts(pixels: np.ndarray) -> np.ndarray:
+    """Right-neighbour difference counts of a pixel array, index d + 255."""
+    px = pixels.astype(np.int16)
+    d = (px[:, 1:] - px[:, :-1]).reshape(-1)
+    return np.bincount(d + MAX_DIFF, minlength=2 * MAX_DIFF + 1).astype(np.int64)
 
 
 class Reference:
     """A reference image, such as a cover, with the statistics that every
-    comparison against it shares: its int32 pixels, the quality index's 8x8
-    window terms, its intensity histogram and its pixel-difference histogram.
+    comparison against it shares.
 
-    Each is computed on first use and then kept. ``psnr``, ``quality_index``,
-    ``histogram_l1`` and ``sweep.pdh_correlation`` take a Reference in place
-    of a ``GrayImage`` as their first argument, so a sweep computes them once
-    per cover rather than once per stego.
+    It keeps its int32 pixels, the quality index's 8x8 window terms, its
+    pixel-difference histogram and, per RS mask, running per-row counts of
+    regular and singular groups. Each is computed on first use and then kept.
+    ``psnr``, ``quality_index``, ``histogram_l1`` and ``sweep.pdh_correlation``
+    take a Reference in place of a ``GrayImage`` as their first argument, and
+    ``rs_analysis`` takes one as ``reference=``.
+
+    Each of them then computes the other image's side only on its
+    :meth:`band`, the rows where it differs from this one. Every metric is
+    row-local or window-local, so outside the band the other image has this
+    one's statistics: each total is this image's total, minus its band term,
+    plus the other image's band term, and the result is exact. A sweep cell
+    thus costs in proportion to the rows its embed changed.
     """
 
     def __init__(self, image: GrayImage):
         self.image = image
+        self._last_band: tuple[GrayImage | None, tuple[int, int]] = (None, (0, 0))
+        self._rs_rows: dict[tuple, np.ndarray] = {}
 
     @classmethod
     def of(cls, image: GrayImage | Reference) -> Reference:
         return image if isinstance(image, Reference) else cls(image)
+
+    def band(self, other: GrayImage) -> tuple[int, int]:
+        """Rows ``[lo, hi)`` outside which ``other`` equals this image, (0, 0) if
+        it equals it everywhere; the result for the last image asked about is
+        kept. Raises ValueError if the sizes differ."""
+        _check_same_size(self.image, other)
+        last, band = self._last_band
+        if last is not other:
+            rows = np.flatnonzero((self.image.pixels != other.pixels).any(axis=1))
+            band = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
+            self._last_band = (other, band)
+        return band
 
     @cached_property
     def pixels32(self) -> np.ndarray:
@@ -89,17 +118,32 @@ class Reference:
         if self.image.height < Q_WINDOW or self.image.width < Q_WINDOW:
             raise ImageTooSmallError(f"images must be at least {Q_WINDOW}x{Q_WINDOW}")
         pa = self.pixels32
-        sa, saa = _window_sums(pa, Q_WINDOW), _window_sums(pa * pa, Q_WINDOW)
+        sa, saa = _window_sums(pa), _window_sums(pa * pa)
         sa2 = sa * sa
         return sa, Q_WINDOW * Q_WINDOW * saa - sa2, sa2
 
     @cached_property
-    def histogram(self) -> np.ndarray:
-        return histogram(self.image)
-
-    @cached_property
     def pd_counts(self) -> np.ndarray:
         return pd_histogram(self.image).counts
+
+    def pd_counts_of(self, other: GrayImage) -> np.ndarray:
+        """The pixel-difference counts of ``other``, from its band rows only."""
+        lo, hi = self.band(other)
+        if lo == hi:
+            return self.pd_counts
+        band = pd_histogram(GrayImage(other.pixels[lo:hi])).counts
+        return self.pd_counts - _pd_counts(self.image.pixels[lo:hi]) + band
+
+    def rs_rows(self, mask: np.ndarray) -> np.ndarray:
+        """(height + 1, 4) running counts, over rows [0, r), of the groups that
+        :func:`rs_analysis` counts as regular and singular under ``mask`` and
+        its negation."""
+        key = tuple(mask.tolist())
+        if key not in self._rs_rows:
+            flags = _rs_flags(self.image.pixels, mask)
+            per_row = np.stack([f.reshape(self.image.height, -1).sum(axis=1) for f in flags], 1)
+            self._rs_rows[key] = np.concatenate((np.zeros((1, 4), np.int64), per_row.cumsum(0)))
+        return self._rs_rows[key]
 
 
 def quality_index(a: GrayImage | Reference, b: GrayImage) -> float:
@@ -111,17 +155,28 @@ def quality_index(a: GrayImage | Reference, b: GrayImage) -> float:
     ``a`` may be a :class:`Reference`, whose window terms are then reused.
     """
     ref = Reference.of(a)
-    _check_same_size(ref.image, b)
+    lo, hi = ref.band(b)
     sa, var_a, sa2 = ref.window_terms
     n = Q_WINDOW * Q_WINDOW
+    # A window wholly outside the band has b's terms equal to a's, so its
+    # numerator and denominator are the same float and it scores exactly 1
+    # (a zero-variance one is degenerate and kept, also as 1): equal images
+    # score 1.0. Only window rows [wlo, whi) overlap the band, and they read
+    # pixel rows [wlo, whi + 7).
+    if lo == hi:
+        return 1.0
+    q = np.ones(sa.shape)
+    wlo, whi = max(0, lo - Q_WINDOW + 1), min(sa.shape[0], hi)
+    sa, var_a, sa2 = sa[wlo:whi], var_a[wlo:whi], sa2[wlo:whi]
+    pb = b.pixels[wlo : whi + Q_WINDOW - 1]
     # One int32 buffer holds pb, then pa * pb, then pb * pb, and is freed
     # before the float64 stage.
-    prod = b.pixels.astype(np.int32)
-    sb = _window_sums(prod, Q_WINDOW)
-    prod *= ref.pixels32
-    sab = _window_sums(prod, Q_WINDOW)
-    np.multiply(b.pixels, b.pixels, out=prod, dtype=np.int32)
-    sbb = _window_sums(prod, Q_WINDOW)
+    prod = pb.astype(np.int32)
+    sb = _window_sums(prod)
+    prod *= ref.pixels32[wlo : whi + Q_WINDOW - 1]
+    sab = _window_sums(prod)
+    np.multiply(pb, pb, out=prod, dtype=np.int32)
+    sbb = _window_sums(prod)
     del prod
 
     # For 8-bit pixels every n-scaled moment below, and 4*sa*sb, is under
@@ -145,13 +200,16 @@ def quality_index(a: GrayImage | Reference, b: GrayImage) -> float:
     den = np.multiply(sbb, sb2, dtype=np.float64)
     del sbb, sb2
     degenerate = den == 0
+    np.divide(num, den, out=q[wlo:whi], where=~degenerate)
+    # Windows outside the band are always kept, so only a degenerate band
+    # window calls for the mask; with none dropped, q and q[keep] have the
+    # same mean, summed in the same order.
     if degenerate.any():
-        keep = ~degenerate | (sa == sb)
+        keep = np.ones(q.shape, dtype=bool)
+        keep[wlo:whi] = ~degenerate | (sa == sb)
         if not keep.any():
             return float("nan")
-        q = np.divide(num, den, out=np.ones_like(num), where=~degenerate)[keep]
-    else:
-        q = np.divide(num, den, out=num)
+        q = q[keep]
     return float(q.mean())
 
 
@@ -168,9 +226,12 @@ def histogram(img: GrayImage) -> np.ndarray:
 def histogram_l1(a: GrayImage | Reference, b: GrayImage) -> float:
     """L1 distance between intensity histograms, normalized to [0, 1]."""
     ref = Reference.of(a)
-    _check_same_size(ref.image, b)
-    dist = int(np.abs(ref.histogram - histogram(b)).sum())
-    return dist / (2 * b.width * b.height)
+    lo, hi = ref.band(b)
+    # Outside the band both images count the same pixels, so the histograms
+    # differ exactly as the two bands' counts do.
+    band_a = np.bincount(ref.image.pixels[lo:hi].reshape(-1), minlength=256)
+    band_b = np.bincount(b.pixels[lo:hi].reshape(-1), minlength=256)
+    return int(np.abs(band_a - band_b).sum()) / (2 * b.width * b.height)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,10 +258,7 @@ def pd_histogram(img: GrayImage) -> PdHistogram:
     """Histogram of right-neighbor differences pixel(r, c+1) - pixel(r, c)."""
     if img.width < 2:
         raise ImageTooSmallError("pixel-difference histogram needs width >= 2")
-    px = img.pixels.astype(np.int16)
-    d = (px[:, 1:] - px[:, :-1]).reshape(-1)
-    counts = np.bincount(d + MAX_DIFF, minlength=2 * MAX_DIFF + 1).astype(np.int64)
-    return PdHistogram(counts)
+    return PdHistogram(_pd_counts(img.pixels))
 
 
 @dataclass(frozen=True)
@@ -243,13 +301,34 @@ def _smoothness(rows, dtype) -> np.ndarray:
     return total
 
 
-def rs_analysis(img: GrayImage, mask=DEFAULT_RS_MASK) -> RsStatistics:
+def _rs_flags(pixels: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
+    """Regular and singular flags of every group in raster order, under the
+    mask and then under its negation."""
+    n = int(mask.size)
+    # One contiguous row per mask position: cols[j] is pixel j of every group.
+    cols = pixels[:, : pixels.shape[1] // n * n].reshape(-1, n).T.copy()
+    rows = cols.astype(np.int16)
+    dtype = np.min_scalar_type(-MAX_DIFF * (n - 1))  # holds any group's smoothness
+    base = _smoothness(rows, dtype)
+    flags = []
+    for m in (mask, -mask):
+        flipped = [_FLIPS[e].take(c) if e else r for e, c, r in zip(m.tolist(), cols, rows)]
+        after = _smoothness(flipped, dtype)
+        flags += [after > base, after < base]
+    return flags
+
+
+def rs_analysis(
+    img: GrayImage, mask=DEFAULT_RS_MASK, *, reference: Reference | None = None
+) -> RsStatistics:
     """RS statistics over row-wise non-overlapping groups of ``len(mask)`` pixels.
 
     A group is regular when flipping per the mask raises the smoothness
     measure sum(|x[i+1] - x[i]|), singular when it lowers it; groups that
     tie count for neither. Fractions are reported for the mask and its
     negation; leftover columns that do not fill a group are ignored.
+    With a :class:`Reference` of the same size, only the rows of ``img``
+    that differ from it are grouped; the fractions are the same.
     """
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size < 2:
@@ -259,18 +338,15 @@ def rs_analysis(img: GrayImage, mask=DEFAULT_RS_MASK) -> RsStatistics:
     n = int(mask.size)
     if img.width < n:
         raise ImageTooSmallError(f"image width {img.width} is smaller than the group size {n}")
-    per_row = img.width // n
-    # One contiguous row per mask position: cols[j] is pixel j of every group.
-    cols = img.pixels[:, : per_row * n].reshape(-1, n).T.copy()
-    rows = cols.astype(np.int16)
-    dtype = np.min_scalar_type(-MAX_DIFF * (n - 1))  # holds any group's smoothness
-    base = _smoothness(rows, dtype)
-    fractions = []
-    for m in (mask, -mask):
-        flipped = [_FLIPS[e].take(c) if e else r for e, c, r in zip(m.tolist(), cols, rows)]
-        after = _smoothness(flipped, dtype)
-        fractions += [float(np.count_nonzero(c) / base.size) for c in (after > base, after < base)]
-    return RsStatistics(*fractions)
+    if reference is None:
+        counts = [np.count_nonzero(f) for f in _rs_flags(img.pixels, mask)]
+    else:
+        lo, hi = reference.band(img)
+        running = reference.rs_rows(mask)
+        band = [np.count_nonzero(f) for f in _rs_flags(img.pixels[lo:hi], mask)]
+        counts = (running[-1] - running[hi] + running[lo] + band).tolist()
+    groups = img.height * (img.width // n)
+    return RsStatistics(*(float(c / groups) for c in counts))
 
 
 @dataclass(frozen=True)

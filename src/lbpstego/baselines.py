@@ -54,14 +54,14 @@ def baseline_embed(cover: GrayImage, bits, method: BaselineMethod) -> GrayImage:
     cap = method.capacity_bits(cover)
     if bits.size > cap:
         raise ValueError(f"{bits.size} bits exceed the {cap}-bit capacity")
-    flat = cover.pixels.reshape(-1).astype(np.int32)
+    flat = cover.pixels.reshape(-1).copy()
     if method.kind == "lsb":
         _embed_replace(flat, bits, method.k)
     elif method.kind == "lsbm":
         _embed_match(flat, bits, method.seed)
     else:
         _embed_pairs(flat, bits, method.seed)
-    return GrayImage(flat.astype(np.uint8).reshape(cover.pixels.shape))
+    return GrayImage(flat.reshape(cover.pixels.shape))
 
 
 def baseline_extract(stego: GrayImage, bit_count: int, method: BaselineMethod) -> np.ndarray:
@@ -96,12 +96,18 @@ def _embed_replace(flat: np.ndarray, bits: np.ndarray, k: int) -> None:
 
 
 def _embed_match(flat: np.ndarray, bits: np.ndarray, seed: int) -> None:
+    """LSB matching in place on the uint8 prefix ``flat[:bits.size]``: +-1 on a
+    mismatch, upward on a draw of 1 or at 0 and never upward at 255, so the
+    uint8 sums cannot wrap."""
     n = bits.size
     cur = flat[:n]
     rng = np.random.default_rng(seed)
-    delta = np.where(rng.integers(0, 2, size=n) == 1, 1, -1)
-    delta = np.where(cur == 0, 1, np.where(cur == 255, -1, delta))
-    flat[:n] = np.where((cur & 1) != bits, cur + delta, cur)
+    up = rng.integers(0, 2, size=n) == 1
+    up |= cur == 0
+    up &= cur != 255
+    change = (cur & 1) != bits
+    cur += change & up
+    cur -= change & ~up
 
 
 def _pair_bit(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -109,11 +115,13 @@ def _pair_bit(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
 
 
 def _embed_pairs(flat: np.ndarray, bits: np.ndarray, seed: int) -> None:
+    """LSB matching revisited in place on the uint8 prefix of ``flat``, with
+    each pair's two pixels in int16."""
     if bits.size % 2:
         bits = np.append(bits, np.uint8(0))
     b1, b2 = bits[0::2], bits[1::2]
     pairs = flat[: bits.size].reshape(-1, 2)
-    x1, x2 = pairs[:, 0], pairs[:, 1]
+    x1, x2 = pairs[:, 0].astype(np.int16), pairs[:, 1].astype(np.int16)
     down = b2 == _pair_bit(x1 - 1, x2)
     x1 = np.where(b1 == x1 & 1, x1, np.where(down, x1 - 1, x1 + 1))
     # A move off the byte range is forced back inward (-1 -> 1, 256 -> 254),
@@ -122,12 +130,14 @@ def _embed_pairs(flat: np.ndarray, bits: np.ndarray, seed: int) -> None:
     need = b2 != _pair_bit(x1, x2)
     # +-1 for x2, inward at 0 and 255, otherwise one draw per such pair in order:
     # the same stream as one scalar rng.integers(0, 2) call per pair.
-    step = np.where(x2 == 0, 1, -1)
+    step = np.where(x2 == 0, np.int16(1), np.int16(-1))
     free = need & (x2 != 0) & (x2 != 255)
     rng = np.random.default_rng(seed)
     step[free] = np.where(rng.integers(0, 2, size=int(free.sum())) == 1, 1, -1)
-    pairs[:, 1] += np.where(need, step, 0)
+    step *= need
+    x2 += step
     pairs[:, 0] = x1
+    pairs[:, 1] = x2
 
 
 def _extract_pairs(flat: np.ndarray, count: int) -> np.ndarray:

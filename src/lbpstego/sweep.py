@@ -27,8 +27,9 @@ METHOD_NAMES = tuple(METHODS)
 
 def pdh_correlation(a: GrayImage | analysis.Reference, b: GrayImage) -> float:
     """Pearson correlation between the two pixel-difference histograms."""
-    x = analysis.Reference.of(a).pd_counts.astype(np.float64)
-    y = analysis.pd_histogram(b).counts.astype(np.float64)
+    ref = analysis.Reference.of(a)
+    x = ref.pd_counts.astype(np.float64)
+    y = ref.pd_counts_of(b).astype(np.float64)
     xc, yc = x - x.mean(), y - y.mean()
     denom = float(np.sqrt((xc * xc).sum() * (yc * yc).sum()))
     if denom == 0.0:
@@ -104,7 +105,7 @@ def metric_rows(
     between cells.
     """
     ref = analysis.Reference.of(cover)
-    rs = analysis.rs_analysis(stego, rs_mask)
+    rs = analysis.rs_analysis(stego, rs_mask, reference=ref)
     values = {
         "psnr": analysis.psnr(ref, stego),
         "q_index": analysis.quality_index(ref, stego),
