@@ -17,7 +17,6 @@ from .analysis import (
 )
 from .baselines import BaselineMethod, baseline_embed, baseline_extract
 from .codec import (
-    BlockGrid,
     CapacityError,
     CorruptStreamError,
     CoverTooSmallError,
@@ -32,7 +31,6 @@ from .lbp import NEIGHBOR_OFFSETS
 
 __all__ = [
     "BaselineMethod",
-    "BlockGrid",
     "CapacityError",
     "CorruptStreamError",
     "CoverTooSmallError",

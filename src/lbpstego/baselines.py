@@ -68,7 +68,7 @@ def baseline_extract(stego: GrayImage, bit_count: int, method: BaselineMethod) -
     """Read back ``bit_count`` bits as a uint8 0/1 array."""
     if bit_count < 0 or bit_count > method.capacity_bits(stego):
         raise ValueError(f"bit_count {bit_count} exceeds capacity")
-    flat = stego.pixels.reshape(-1).astype(np.int32)
+    flat = stego.pixels.reshape(-1)
     if method.kind == "lsbmr":
         return _extract_pairs(flat, bit_count)
     return _extract_replace(flat, bit_count, method.k if method.kind == "lsb" else 1)
@@ -78,7 +78,7 @@ def _bit_planes(flat: np.ndarray, count: int, k: int) -> tuple[np.ndarray, np.nd
     """The uint8 (ceil(count / k), k) low bit planes of the leading pixels,
     highest replaced bit first, and the shift of each plane."""
     shifts = np.arange(k - 1, -1, -1, dtype=np.uint8)
-    return (flat[: -(-count // k), None].astype(np.uint8) >> shifts) & 1, shifts
+    return (flat[: -(-count // k), None] >> shifts) & 1, shifts
 
 
 def _extract_replace(flat: np.ndarray, count: int, k: int) -> np.ndarray:

@@ -73,20 +73,10 @@ class StegoParams:
         return 255 - (1 << self.mu)
 
 
-@dataclass(frozen=True)
-class BlockGrid:
-    """Row-major tiling into complete 3x3 blocks; leftover strips stay unused."""
-
-    block_rows: int
-    block_cols: int
-
-    @classmethod
-    def for_image(cls, image: GrayImage) -> "BlockGrid":
-        return cls(image.height // 3, image.width // 3)
-
-    @property
-    def n_blocks(self) -> int:
-        return self.block_rows * self.block_cols
+def _n_blocks(height: int, width: int) -> int:
+    """Complete 3x3 blocks in a ``height`` x ``width`` image, tiled row-major
+    from the top left; the leftover bottom and right strips hold none."""
+    return (height // 3) * (width // 3)
 
 
 def shuffle_byte(value):
@@ -121,15 +111,17 @@ def sync_neighbor(center, cover_value, stego_value, mu: int):
     return stego_value + np.subtract(now_ge, was_ge, dtype=dtype) * dtype.type(1 << mu)
 
 
-def _slabs(pixels: np.ndarray, grid: BlockGrid, n: int):
+def _slabs(pixels: np.ndarray, n: int):
     """Walk the block rows holding the first ``n`` blocks, at most
     ``_SLAB_BLOCKS`` blocks (but at least one block row) at a time.
 
-    Yield ``(start, stop, tiles)``: ``tiles`` is a (rows, block_cols, 3, 3)
-    view of ``pixels`` whose first ``stop - start`` blocks are blocks
-    ``start..stop``. Only the last slab may end inside its last row.
+    The block grid is the image's own: ``pixels.shape[1] // 3`` blocks to a
+    row, numbered row-major. Yield ``(start, stop, tiles)``: ``tiles`` is a
+    (rows, block_cols, 3, 3) view of ``pixels`` whose first ``stop - start``
+    blocks are blocks ``start..stop``. Only the last slab may end inside its
+    last row.
     """
-    cols = grid.block_cols
+    cols = pixels.shape[1] // 3
     rows = -(-n // cols)
     step = max(1, _SLAB_BLOCKS // cols)
     for top in range(0, rows, step):
@@ -162,7 +154,7 @@ def _centers(tiles: np.ndarray, n: int) -> np.ndarray:
 
 def capacity(cover: GrayImage, params: StegoParams) -> int:
     """Total stream bytes the cover can carry (the 4-byte header included)."""
-    return BlockGrid.for_image(cover).n_blocks * params.mu
+    return _n_blocks(cover.height, cover.width) * params.mu
 
 
 def max_payload_bytes(cover: GrayImage, params: StegoParams) -> int:
@@ -182,21 +174,20 @@ def max_payload_shape(cover: GrayImage, params: StegoParams) -> tuple[int, int]:
     return rows, budget // rows
 
 
-def clamp_cover(
-    cover: GrayImage, grid: BlockGrid, used_blocks: int, params: StegoParams
-) -> GrayImage:
+def clamp_cover(cover: GrayImage, used_blocks: int, params: StegoParams) -> GrayImage:
     """Pull carrier neighbors of the first ``used_blocks`` blocks into
     ``[2**mu, 255 - 2**mu]``.
 
     This guarantees the later order-restoring step can never leave byte
     range. Reference pixels and unused blocks are untouched.
     """
-    if used_blocks > grid.n_blocks:
-        raise ValueError(f"{used_blocks} blocks requested, grid holds {grid.n_blocks}")
+    n_blocks = _n_blocks(cover.height, cover.width)
+    if used_blocks > n_blocks:
+        raise ValueError(f"{used_blocks} blocks requested, cover holds {n_blocks}")
     if used_blocks <= 0:
         return cover
     out = cover.pixels.copy()
-    for start, stop, tiles in _slabs(out, grid, used_blocks):
+    for start, stop, tiles in _slabs(out, used_blocks):
         rings = _rings(tiles)
         used = rings.reshape(-1, 8)[: stop - start]
         np.clip(used, params.clamp_lo, params.clamp_hi, out=used)
@@ -232,13 +223,13 @@ def embed(
         if out.ndim != 2 or out.dtype != np.uint8 or not (flags.writeable and flags.c_contiguous):
             raise ValueError("a cover array must be writable, C-ordered, 2-D and uint8")
     height, width = out.shape
-    grid = BlockGrid(height // 3, width // 3)
-    if grid.n_blocks == 0:
+    n_blocks = _n_blocks(height, width)
+    if n_blocks == 0:
         raise CoverTooSmallError(f"{height}x{width} cover has no complete 3x3 block")
     if payload.height > MAX_PAYLOAD_SIDE or payload.width > MAX_PAYLOAD_SIDE:
         raise CapacityError(f"payload dimensions exceed {MAX_PAYLOAD_SIDE}")
     stream = _frame(payload)
-    cap = grid.n_blocks * params.mu
+    cap = n_blocks * params.mu
     if len(stream) > cap:
         raise CapacityError(
             f"stream needs {len(stream)} bytes, cover holds {cap} at mu={params.mu}"
@@ -248,7 +239,7 @@ def embed(
     padded = stream + b"\x00" * (used_blocks * mu - len(stream))
     data = np.frombuffer(padded, dtype=np.uint8).reshape(used_blocks, mu)
 
-    for start, stop, tiles in _slabs(out, grid, used_blocks):
+    for start, stop, tiles in _slabs(out, used_blocks):
         _embed_slab(tiles, data[start:stop], params)
     return _adopt(out)
 
@@ -276,10 +267,10 @@ def _embed_slab(tiles: np.ndarray, data: np.ndarray, params: StegoParams) -> Non
     _put_rings(tiles, rings)
 
 
-def _decode_stream(pixels: np.ndarray, grid: BlockGrid, n: int, mu: int) -> np.ndarray:
+def _decode_stream(pixels: np.ndarray, n: int, mu: int) -> np.ndarray:
     """Recover the stream bytes carried by the first ``n`` blocks."""
     out = np.empty((n, mu), dtype=np.uint8)
-    for start, stop, tiles in _slabs(pixels, grid, n):
+    for start, stop, tiles in _slabs(pixels, n):
         ring = _rings(tiles).reshape(-1, 8)[: stop - start]
         codes = lbp_codes(_centers(tiles, stop - start), ring)
         # Packing a ring word with its adjacent bytes swapped gives the pair
@@ -304,15 +295,14 @@ def _decode_stream(pixels: np.ndarray, grid: BlockGrid, n: int, mu: int) -> np.n
 
 def extract(stego: GrayImage, params: StegoParams) -> GrayImage:
     """Blindly recover the embedded payload; needs only the stego and ``mu``."""
-    grid = BlockGrid.for_image(stego)
     mu = params.mu
-    cap = grid.n_blocks * mu
+    cap = capacity(stego, params)
     if cap < HEADER_BYTES:
         raise CorruptStreamError(
             f"image holds only {cap} stream bytes, no room for a size header"
         )
     header_blocks = -(-HEADER_BYTES // mu)
-    head = _decode_stream(stego.pixels, grid, header_blocks, mu)[:HEADER_BYTES]
+    head = _decode_stream(stego.pixels, header_blocks, mu)[:HEADER_BYTES]
     rows = int(head[0]) << 8 | int(head[1])
     cols = int(head[2]) << 8 | int(head[3])
     if rows == 0 or cols == 0:
@@ -321,5 +311,5 @@ def extract(stego: GrayImage, params: StegoParams) -> GrayImage:
     if needed > cap:
         raise CorruptStreamError(f"header announces {needed} stream bytes, image holds {cap}")
     used_blocks = -(-needed // mu)
-    stream = _decode_stream(stego.pixels, grid, used_blocks, mu)
+    stream = _decode_stream(stego.pixels, used_blocks, mu)
     return _adopt(stream[HEADER_BYTES:needed].reshape(rows, cols))

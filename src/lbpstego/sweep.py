@@ -56,8 +56,6 @@ def crop_payload_to_rate(
 def payload_bits(payload: GrayImage, count: int) -> np.ndarray:
     """First ``count`` bits of the payload raster (MSB-first, tiled if short)."""
     raw = np.unpackbits(payload.pixels.reshape(-1))
-    if raw.size == 0:
-        raise ValueError("payload has no pixels")
     if raw.size < count:
         raw = np.resize(raw, count)
     return raw[:count]
@@ -97,7 +95,6 @@ def metric_rows(
     cover: GrayImage | analysis.Reference,
     stego: GrayImage,
     embedded_bits: int,
-    rs_mask=analysis.DEFAULT_RS_MASK,
 ) -> list[analysis.MetricRow]:
     """All sweep metrics for one (image, method, rate) cell, in fixed order.
 
@@ -105,7 +102,7 @@ def metric_rows(
     between cells.
     """
     ref = analysis.Reference.of(cover)
-    rs = analysis.rs_analysis(stego, rs_mask, reference=ref)
+    rs = analysis.rs_analysis(stego, analysis.DEFAULT_RS_MASK, reference=ref)
     values = {
         "psnr": analysis.psnr(ref, stego),
         "q_index": analysis.quality_index(ref, stego),
@@ -127,7 +124,6 @@ def run_sweep(
     rates,
     mu: int = 1,
     seed: int = 0,
-    rs_mask=analysis.DEFAULT_RS_MASK,
 ) -> list[analysis.MetricRow]:
     """Fixed-order sweep: rows sorted by image name, then method, then rate.
 
@@ -141,5 +137,5 @@ def run_sweep(
         for method in sorted(methods):
             for rate in sorted(rates):
                 stego, bits = embed_at_rate(cover, payload, method, rate, mu=mu, seed=seed)
-                rows.extend(metric_rows(name, method, rate, ref, stego, bits, rs_mask))
+                rows.extend(metric_rows(name, method, rate, ref, stego, bits))
     return rows

@@ -3,12 +3,7 @@ block coordinates, the per-block embedder, and the block-stack decoder."""
 
 import numpy as np
 
-from lbpstego.codec import (
-    BlockGrid,
-    StegoParams,
-    shuffle_byte,
-    sync_neighbor,
-)
+from lbpstego.codec import StegoParams, shuffle_byte, sync_neighbor
 from lbpstego.image import GrayImage
 from lbpstego.lbp import NEIGHBOR_OFFSETS, lbp_codes
 
@@ -90,22 +85,23 @@ def embed_block(block, payload_bytes, params: StegoParams) -> np.ndarray:
 _RING_SHIFTS = np.arange(7, -1, -1, dtype=np.uint8)
 
 
-def _block_stack(pixels: np.ndarray, grid: BlockGrid, n: int) -> np.ndarray:
+def _block_stack(pixels: np.ndarray, n: int) -> np.ndarray:
     """Gather the block rows holding the first ``n`` blocks into a row-major
-    (rows * block_cols, 3, 3) stack.
+    (rows * block_cols, 3, 3) stack, ``pixels.shape[1] // 3`` blocks to a row.
 
     The stack may be a view of ``pixels`` (one block row or one block
     column).
     """
-    rows = -(-n // grid.block_cols)
-    tiles = pixels[: 3 * rows, : 3 * grid.block_cols].reshape(rows, 3, grid.block_cols, 3)
+    cols = pixels.shape[1] // 3
+    rows = -(-n // cols)
+    tiles = pixels[: 3 * rows, : 3 * cols].reshape(rows, 3, cols, 3)
     return tiles.swapaxes(1, 2).reshape(-1, 3, 3)
 
 
-def _decode_stream(pixels: np.ndarray, grid: BlockGrid, n: int, mu: int) -> np.ndarray:
+def _decode_stream(pixels: np.ndarray, n: int, mu: int) -> np.ndarray:
     """Recover the stream bytes carried by the first ``n`` blocks, one
     (n, mu, 8) bit tensor at a time."""
-    blocks = _block_stack(pixels, grid, n)[:n]
+    blocks = _block_stack(pixels, n)[:n]
     centers = blocks[:, 1, 1]
     ring = blocks[:, _RING_ROWS, _RING_COLS]
     codes = lbp_codes(centers, ring)

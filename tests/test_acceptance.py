@@ -26,7 +26,6 @@ from lbpstego.analysis import (
 from lbpstego.baselines import BaselineMethod, baseline_embed, baseline_extract
 from lbpstego.codec import (
     HEADER_BYTES,
-    BlockGrid,
     StegoParams,
     capacity,
     clamp_cover,
@@ -135,14 +134,13 @@ def test_criterion_1_round_trip_exactness(roundtrip_trials):
 def test_criterion_2_lbp_preservation(roundtrip_trials):
     checked = 0
     for cover, payload, stego, params in roundtrip_trials:
-        grid = BlockGrid.for_image(cover)
         stream_len = HEADER_BYTES + payload.width * payload.height
         used = -(-stream_len // params.mu)
-        clamped = clamp_cover(cover, grid, used, params)
+        clamped = clamp_cover(cover, used, params)
         for image in (clamped, stego):
             assert image.pixels.shape == cover.pixels.shape
-        cl = _block_stack(clamped.pixels, grid, used)[:used].astype(np.int32)
-        st = _block_stack(stego.pixels, grid, used)[:used].astype(np.int32)
+        cl = _block_stack(clamped.pixels, used)[:used].astype(np.int32)
+        st = _block_stack(stego.pixels, used)[:used].astype(np.int32)
         ring_idx = (np.array([1, 0, 0, 0, 1, 2, 2, 2]), np.array([2, 2, 1, 0, 0, 0, 1, 2]))
         codes_cl = lbp_codes(cl[:, 1, 1], cl[:, ring_idx[0], ring_idx[1]])
         codes_st = lbp_codes(st[:, 1, 1], st[:, ring_idx[0], ring_idx[1]])

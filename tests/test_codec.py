@@ -7,7 +7,6 @@ from block_oracle import block_center, embed_block, lsb_mask, sync_step
 from lbpstego import codec, synth
 from lbpstego.codec import (
     HEADER_BYTES,
-    BlockGrid,
     CapacityError,
     CorruptStreamError,
     CoverTooSmallError,
@@ -32,7 +31,7 @@ def slab_sizes(cover):
     """Values of ``codec._SLAB_BLOCKS`` that put one block row in each slab,
     two rows (2.5 rows' worth of blocks, rounded down to whole rows), and
     the default."""
-    block_cols = BlockGrid.for_image(cover).block_cols
+    block_cols = cover.width // 3
     return 1, int(2.5 * block_cols), codec._SLAB_BLOCKS
 
 
@@ -47,17 +46,22 @@ class TestStegoParams:
         assert (lsb_mask(p), sync_step(p), p.clamp_lo, p.clamp_hi) == (7, 8, 8, 247)
 
 
-class TestBlockGrid:
+def test_every_exported_name_resolves():
+    import lbpstego
+
+    assert [name for name in lbpstego.__all__ if not hasattr(lbpstego, name)] == []
+
+
+class TestBlockTiling:
     def test_reference_coordinates(self):
-        grid = BlockGrid(3, 4)
+        img = GrayImage(np.zeros((9, 12), dtype=np.uint8))
         assert block_center(0, 0) == (1, 1)
         assert block_center(2, 3) == (7, 10)
-        assert grid.n_blocks == 12
+        assert capacity(img, StegoParams(1)) == 12
 
     def test_leftover_strips_do_not_count(self):
         img = GrayImage(np.zeros((8, 10), dtype=np.uint8))
-        grid = BlockGrid.for_image(img)
-        assert (grid.block_rows, grid.block_cols) == (2, 3)
+        assert capacity(img, StegoParams(1)) == 6
 
 
 class TestByteOps:
@@ -118,37 +122,37 @@ class TestSync:
 class TestClampCover:
     def test_mu1_bounds(self):
         img = gray([[0, 255, 100], [0, 5, 0], [254, 2, 253]])
-        out = clamp_cover(img, BlockGrid(1, 1), 1, StegoParams(1))
+        out = clamp_cover(img, 1, StegoParams(1))
         assert list(out.pixels.reshape(-1)) == [2, 253, 100, 2, 5, 2, 253, 2, 253]
 
     def test_reference_pixel_untouched(self):
         img = gray([[50, 50, 50], [50, 0, 50], [50, 50, 50]])
-        out = clamp_cover(img, BlockGrid(1, 1), 1, StegoParams(4))
+        out = clamp_cover(img, 1, StegoParams(4))
         assert out.pixels[1, 1] == 0
         assert out.pixels[0, 0] == 50
 
     def test_mu4_bounds(self):
         img = gray([[5, 250, 100]] * 3)
-        out = clamp_cover(img, BlockGrid(1, 1), 1, StegoParams(4))
+        out = clamp_cover(img, 1, StegoParams(4))
         assert out.pixels[0, 0] == 16 and out.pixels[0, 1] == 239
 
     def test_identity_when_in_range(self):
         px = np.full((6, 6), 128, dtype=np.uint8)
         img = GrayImage(px)
-        out = clamp_cover(img, BlockGrid.for_image(img), 4, StegoParams(4))
+        out = clamp_cover(img, 4, StegoParams(4))
         assert out == img
 
     def test_unused_blocks_untouched(self):
         px = np.zeros((3, 6), dtype=np.uint8)
         img = GrayImage(px)
-        out = clamp_cover(img, BlockGrid.for_image(img), 1, StegoParams(1))
+        out = clamp_cover(img, 1, StegoParams(1))
         assert np.array_equal(out.pixels[:, 3:], px[:, 3:])
         assert out.pixels[0, 0] == 2
 
     def test_too_many_blocks_rejected(self):
         img = GrayImage(np.zeros((3, 3), dtype=np.uint8))
         with pytest.raises(ValueError):
-            clamp_cover(img, BlockGrid.for_image(img), 2, StegoParams(1))
+            clamp_cover(img, 2, StegoParams(1))
 
 
 class TestEmbedBlock:
@@ -201,7 +205,7 @@ class TestEmbedBlock:
             block = rng.integers(params.clamp_lo, params.clamp_hi + 1, (3, 3))
             data = bytes(rng.integers(0, 256, mu, dtype=np.uint8))
             out = embed_block(block, data, params)
-            decoded = _decode_stream(out, BlockGrid(1, 1), 1, mu)
+            decoded = _decode_stream(out, 1, mu)
             assert bytes(decoded) == data
 
 
@@ -240,10 +244,9 @@ class TestEmbedExtract:
         stego = embed(cover, payload, StegoParams(1))
         # 5 stream bytes -> 5 of 9 blocks used; the last 4 blocks (second and
         # third of block-row 1, plus leftovers) are byte-identical to the cover
-        grid = BlockGrid.for_image(cover)
         touched = np.zeros((9, 9), dtype=bool)
         for b in range(5):
-            k, l = divmod(b, grid.block_cols)
+            k, l = divmod(b, cover.width // 3)
             touched[3 * k : 3 * k + 3, 3 * l : 3 * l + 3] = True
         assert np.array_equal(stego.pixels[~touched], cover.pixels[~touched])
         assert extract(stego, StegoParams(1)) == payload
@@ -355,7 +358,7 @@ class TestEmbedExtract:
         params = StegoParams(mu)
         stego = embed(cover, payload, params).pixels.copy()
         used = -(-(HEADER_BYTES + payload.width * payload.height) // mu)
-        block_cols = BlockGrid.for_image(cover).block_cols
+        block_cols = cover.width // 3
         touched = np.zeros(stego.shape, dtype=bool)
         for b in range(used):
             k, l = divmod(b, block_cols)

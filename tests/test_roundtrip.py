@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from lbpstego import codec
 from lbpstego.codec import (
     HEADER_BYTES,
-    BlockGrid,
     StegoParams,
     capacity,
     clamp_cover,
@@ -78,15 +77,14 @@ def test_structure_preservation(case):
         return
     params = StegoParams(mu)
     stego = embed(cover, payload, params)
-    grid = BlockGrid.for_image(cover)
     used = -(-(HEADER_BYTES + payload.width * payload.height) // mu)
-    clamped = clamp_cover(cover, grid, used, params)
+    clamped = clamp_cover(cover, used, params)
 
     diff = np.abs(stego.pixels.astype(int) - clamped.pixels.astype(int))
     assert diff.max() <= 2 ** (mu + 1) - 1
 
     for b in range(used):
-        k, l = divmod(b, grid.block_cols)
+        k, l = divmod(b, cover.width // 3)
         r, c = block_center(k, l)
         assert stego.pixels[r, c] == clamped.pixels[r, c]
         assert lbp_code(stego, r, c) == lbp_code(clamped, r, c)
@@ -94,7 +92,7 @@ def test_structure_preservation(case):
     # everything past the consumed stream is byte-identical to the cover
     touched = np.zeros(cover.pixels.shape, dtype=bool)
     for b in range(used):
-        k, l = divmod(b, grid.block_cols)
+        k, l = divmod(b, cover.width // 3)
         touched[3 * k : 3 * k + 3, 3 * l : 3 * l + 3] = True
     assert np.array_equal(stego.pixels[~touched], cover.pixels[~touched])
 
@@ -108,14 +106,13 @@ def test_vectorized_embed_matches_block_reference(case):
     if payload is None:
         return
     params = StegoParams(mu)
-    grid = BlockGrid.for_image(cover)
     stream = _frame(payload)
     used = -(-len(stream) // mu)
     stream += b"\x00" * (used * mu - len(stream))
-    clamped = clamp_cover(cover, grid, used, params)
+    clamped = clamp_cover(cover, used, params)
     expect = cover.pixels.copy()
     for b in range(used):
-        k, l = divmod(b, grid.block_cols)
+        k, l = divmod(b, cover.width // 3)
         r, c = block_center(k, l)
         block = clamped.pixels[r - 1 : r + 2, c - 1 : c + 2]
         carried = stream[b * mu : (b + 1) * mu]
@@ -124,7 +121,7 @@ def test_vectorized_embed_matches_block_reference(case):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(codec, "_SLAB_BLOCKS", slab)
             assert np.array_equal(embed(cover, payload, params).pixels, expect), slab
-            again = clamp_cover(cover, grid, used, params)
+            again = clamp_cover(cover, used, params)
             assert np.array_equal(again.pixels, clamped.pixels), slab
 
 
@@ -151,10 +148,9 @@ def test_decode_matches_block_stack_oracle(case, data):
     image = cover
     if payload is not None and data.draw(st.booleans()):
         image = embed(cover, payload, StegoParams(mu))
-    grid = BlockGrid.for_image(cover)
-    n = data.draw(st.integers(1, grid.n_blocks))
-    expect = oracle_decode_stream(image.pixels, grid, n, mu)
+    n = data.draw(st.integers(1, capacity(cover, StegoParams(1))))
+    expect = oracle_decode_stream(image.pixels, n, mu)
     for slab in SLAB_SIZES:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(codec, "_SLAB_BLOCKS", slab)
-            assert np.array_equal(_decode_stream(image.pixels, grid, n, mu), expect), slab
+            assert np.array_equal(_decode_stream(image.pixels, n, mu), expect), slab

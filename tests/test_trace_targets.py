@@ -64,10 +64,9 @@ def test_traced_codec_attributes_each_kernel_layer_per_slab():
     params = codec.StegoParams(1)
     shape = codec.max_payload_shape(cover, params)
     payload = GrayImage(np.random.default_rng(6).integers(0, 256, shape, dtype=np.uint8))
-    grid = codec.BlockGrid.for_image(cover)
     used = -(-(codec.HEADER_BYTES + payload.height * payload.width) // params.mu)
     header = -(-codec.HEADER_BYTES // params.mu)
-    slabs = len(list(codec._slabs(cover.pixels, grid, used)))
+    slabs = len(list(codec._slabs(cover.pixels, used)))
     assert slabs >= 2
     tracer.install({"cli": cli, "codec": codec, "baselines": baselines,
                     "analysis": analysis, "sweep": sweep})
