@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, codec, sweep, synth
-from .image import GrayImage, PgmError, load_pgm, load_raster, pgm_chunks, write_pgm
+from .image import GrayImage, PgmError, PgmFile, load_pgm, load_raster, pgm_chunks, write_pgm
 
 EXIT_OK = 0
 EXIT_USAGE = 2  # argparse's own code for bad flags
@@ -135,8 +135,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    stego = load_pgm(args.stego)
-    payload = codec.extract(stego, codec.StegoParams(args.mu))
+    with PgmFile(args.stego) as stego:  # extract reads only the rows its stream occupies
+        payload = codec.extract(stego, codec.StegoParams(args.mu))
     err = _write_file(args.out, [write_pgm(payload)], args.force)
     if err:
         return err
@@ -145,11 +145,11 @@ def cmd_extract(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    cover = load_pgm(args.cover)
-    params = codec.StegoParams(args.mu)
-    cap = codec.capacity(cover, params)
-    bpp = 8.0 * cap / (cover.width * cover.height)
-    print(f"{cap} bytes ({bpp:.2f} bpp stream); max payload {codec.max_payload_bytes(cover, params)} bytes")
+    with PgmFile(args.cover) as cover:  # reads the header alone
+        params = codec.StegoParams(args.mu)
+        cap = codec.capacity(cover, params)
+        bpp = 8.0 * cap / (cover.width * cover.height)
+        print(f"{cap} bytes ({bpp:.2f} bpp stream); max payload {codec.max_payload_bytes(cover, params)} bytes")
     return EXIT_OK
 
 

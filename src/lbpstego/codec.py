@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import GrayImage, _adopt
+from .image import GrayImage, PgmFile, _adopt
 from .lbp import NEIGHBOR_OFFSETS, PACK, lbp_codes
 
 HEADER_BYTES = 4
@@ -152,12 +152,13 @@ def _centers(tiles: np.ndarray, n: int) -> np.ndarray:
     return words.view(np.uint8).reshape(n, 8)
 
 
-def capacity(cover: GrayImage, params: StegoParams) -> int:
-    """Total stream bytes the cover can carry (the 4-byte header included)."""
+def capacity(cover: GrayImage | PgmFile, params: StegoParams) -> int:
+    """Total stream bytes the cover can carry (the 4-byte header included);
+    an open :class:`PgmFile` answers from its header alone."""
     return _n_blocks(cover.height, cover.width) * params.mu
 
 
-def max_payload_bytes(cover: GrayImage, params: StegoParams) -> int:
+def max_payload_bytes(cover: GrayImage | PgmFile, params: StegoParams) -> int:
     """Usable payload bytes once the size header is paid for."""
     return max(0, capacity(cover, params) - HEADER_BYTES)
 
@@ -293,16 +294,27 @@ def _decode_stream(pixels: np.ndarray, n: int, mu: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def extract(stego: GrayImage, params: StegoParams) -> GrayImage:
-    """Blindly recover the embedded payload; needs only the stego and ``mu``."""
+def _block_rows(n: int, width: int) -> int:
+    """Pixel rows that hold the first ``n`` blocks of a ``width``-wide image."""
+    return 3 * -(-n // (width // 3))
+
+
+def extract(stego: GrayImage | PgmFile, params: StegoParams) -> GrayImage:
+    """Blindly recover the embedded payload; needs only the stego and ``mu``.
+
+    Only the rows that hold the size header, then the rows that hold the
+    stream, are taken from ``stego``; from an open :class:`PgmFile` the rows
+    below them are never read.
+    """
     mu = params.mu
     cap = capacity(stego, params)
-    if cap < HEADER_BYTES:
+    if cap < HEADER_BYTES:  # also spares _block_rows an image with no block column
         raise CorruptStreamError(
             f"image holds only {cap} stream bytes, no room for a size header"
         )
     header_blocks = -(-HEADER_BYTES // mu)
-    head = _decode_stream(stego.pixels, header_blocks, mu)[:HEADER_BYTES]
+    head_rows = stego.rows(_block_rows(header_blocks, stego.width))
+    head = _decode_stream(head_rows, header_blocks, mu)[:HEADER_BYTES]
     rows = int(head[0]) << 8 | int(head[1])
     cols = int(head[2]) << 8 | int(head[3])
     if rows == 0 or cols == 0:
@@ -311,5 +323,6 @@ def extract(stego: GrayImage, params: StegoParams) -> GrayImage:
     if needed > cap:
         raise CorruptStreamError(f"header announces {needed} stream bytes, image holds {cap}")
     used_blocks = -(-needed // mu)
-    stream = _decode_stream(stego.pixels, used_blocks, mu)
+    stream_rows = stego.rows(_block_rows(used_blocks, stego.width))
+    stream = _decode_stream(stream_rows, used_blocks, mu)
     return _adopt(stream[HEADER_BYTES:needed].reshape(rows, cols))

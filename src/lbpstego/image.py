@@ -48,6 +48,11 @@ class GrayImage:
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
 
+    def rows(self, stop: int) -> np.ndarray:
+        """The first ``stop`` rows, a read-only view, as :meth:`PgmFile.rows`
+        reads them from a file."""
+        return self.pixels[:stop]
+
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
@@ -104,9 +109,9 @@ def _header_tokens(data):
         yield bytes(data[start:i]), i
 
 
-def _raster(data) -> np.ndarray:
-    """The ``(height, width)`` uint8 view of the raster inside PGM ``data``,
-    a bytes-like object; the view is writable exactly when ``data`` is."""
+def _header(data) -> tuple[int, int, int]:
+    """``(height, width, offset)`` of the PGM header at the start of ``data``,
+    a bytes-like object; the raster starts at byte ``offset``."""
     tokens = _header_tokens(data)
     magic, _ = next(tokens)
     if magic != b"P5":
@@ -125,10 +130,20 @@ def _raster(data) -> np.ndarray:
         raise PgmDepthError(f"unsupported maxval {maxval} (only 8-bit, maxval 255)")
     if end >= len(data) or data[end] not in _WHITESPACE:
         raise PgmFormatError("missing whitespace between maxval and raster")
-    raster_bytes = len(data) - end - 1
+    return height, width, end + 1
+
+
+def _check_raster(raster_bytes: int, height: int, width: int) -> None:
     if raster_bytes < width * height:
         raise PgmTruncatedError(f"raster holds {raster_bytes} bytes, need {width * height}")
-    px = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=end + 1)
+
+
+def _raster(data) -> np.ndarray:
+    """The ``(height, width)`` uint8 view of the raster inside PGM ``data``,
+    a bytes-like object; the view is writable exactly when ``data`` is."""
+    height, width, offset = _header(data)
+    _check_raster(len(data) - offset, height, width)
+    px = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=offset)
     return px.reshape(height, width)
 
 
@@ -157,26 +172,93 @@ def write_pgm(img: GrayImage) -> bytes:
     return b"".join(pgm_chunks(img))
 
 
-def _read_file(path) -> memoryview:
-    """A writable view of the file's bytes, read once into a buffer no other
-    code holds."""
-    with open(path, "rb") as f:
+# The first read of a file; a longer header (long ``#`` comments) reads more.
+_HEAD_READ = 256
+
+
+class PgmFile:
+    """An open PGM file whose raster is read on demand, a row block at a time.
+
+    Use it as a context manager. Opening reads and checks the header, and
+    checks that the file is long enough for the raster it announces, so
+    ``height`` and ``width`` are known before any pixel is read.
+    :meth:`rows` reads only the rows no earlier call read. A pipe or device
+    reports no size, so one is read whole at open.
+    """
+
+    def __init__(self, path):
+        self._file = open(path, "rb")
+        try:
+            self._open()
+        except BaseException:
+            self._file.close()
+            raise
+
+    def _open(self) -> None:
+        f = self._file
         st = os.fstat(f.fileno())
         if not stat.S_ISREG(st.st_mode):
-            return memoryview(bytearray(f.read()))  # a pipe or device reports no size
-        buf = np.empty(st.st_size, dtype=np.uint8)  # not zeroed: the read fills it
-        return memoryview(buf)[: f.readinto(buf)]  # short if the file shrank since fstat
+            self._px = _raster(memoryview(bytearray(f.read())))
+            self.height, self.width = self._px.shape
+            return
+        head = f.read(_HEAD_READ)
+        while True:
+            try:
+                self.height, self.width, offset = _header(head)
+                break
+            except PgmError:  # perhaps only the cut (maxval "25" of "255"): read more
+                more = f.read(len(head))
+                if not more:  # the error is the whole file's own
+                    raise
+                head += more
+        _check_raster(st.st_size - offset, self.height, self.width)
+        self._offset = offset
+        self._px = np.empty((0, self.width), dtype=np.uint8)  # the rows read so far
+
+    def _read(self, stop: int) -> np.ndarray:
+        """The first ``stop`` rows as a writable view of a buffer only this
+        reader holds, which grows to ``stop`` rows and no further."""
+        stop = min(stop, self.height)
+        have = len(self._px)
+        if stop > have:
+            px = np.empty((stop, self.width), dtype=np.uint8)  # not zeroed: the read fills it
+            px[:have] = self._px
+            self._file.seek(self._offset + have * self.width)
+            got = self._file.readinto(px[have:])
+            if got < (stop - have) * self.width:  # the file shrank since it was opened
+                raise PgmTruncatedError(
+                    f"raster holds {have * self.width + got} bytes, need {self.width * self.height}"
+                )
+            self._px = px
+        return self._px[:stop]
+
+    def rows(self, stop: int) -> np.ndarray:
+        """The first ``stop`` rows, a ``(stop, width)`` view that no one can
+        make writable."""
+        return np.asarray(memoryview(self._read(stop)).toreadonly())
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def load_pgm(path) -> GrayImage:
-    """Read a PGM file into a read-only :class:`GrayImage` over the file's buffer."""
-    return _adopt(_raster(_read_file(path).toreadonly()))
+    """Read a PGM file into a read-only :class:`GrayImage` over the buffer
+    its rows were read into."""
+    with PgmFile(path) as f:
+        return _adopt(f.rows(f.height))
 
 
 def load_raster(path) -> np.ndarray:
     """Read a PGM file into a writable ``(height, width)`` uint8 array that
-    views the buffer the file was read into; the caller owns it."""
-    return _raster(_read_file(path))
+    views the buffer its rows were read into; the caller owns it."""
+    with PgmFile(path) as f:
+        return f._read(f.height)
 
 
 def save_pgm(path, img: GrayImage) -> None:

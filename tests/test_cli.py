@@ -2,12 +2,15 @@ import csv
 import errno
 import os
 import shlex
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lbpstego import cli, synth
+from lbpstego import cli, codec, image, synth
 from lbpstego.cli import (
     EXIT_CAPACITY,
     EXIT_EXISTS,
@@ -18,7 +21,7 @@ from lbpstego.cli import (
     build_parser,
     main,
 )
-from lbpstego.image import GrayImage, save_pgm, write_pgm
+from lbpstego.image import GrayImage, load_pgm, save_pgm, write_pgm
 
 
 @pytest.fixture
@@ -346,6 +349,107 @@ def test_stego_truncated_mid_raster_maps_to_exit_4(workspace, capsys):
     assert rc == EXIT_FORMAT
     assert capsys.readouterr().err.startswith("error: raster holds")
     assert not (tmp / "back.pgm").exists()
+
+
+def test_stego_truncated_below_its_stream_rows_maps_to_exit_4(workspace, capsys):
+    """The stream fills the top 78 of 96 rows; a file cut below them is still refused."""
+    tmp, _, _ = workspace
+    stego = tmp / "stego.pgm"
+    assert main(_embed_args(tmp, stego)) == EXIT_OK
+    stego.write_bytes(stego.read_bytes()[: len(b"P5\n96 96\n255\n") + 90 * 96])
+    rc = main(["extract", "--stego", str(stego), "--out", str(tmp / "back.pgm"), "--mu", "1"])
+    assert rc == EXIT_FORMAT
+    assert capsys.readouterr().err == "error: raster holds 8640 bytes, need 9216\n"
+    assert not (tmp / "back.pgm").exists()
+
+
+def test_capacity_of_a_truncated_raster_maps_to_exit_4(tmp_path, capsys):
+    data = write_pgm(GrayImage(np.zeros((30, 30), dtype=np.uint8)))
+    (tmp_path / "c.pgm").write_bytes(data[:-1])
+    assert main(["capacity", "--cover", str(tmp_path / "c.pgm"), "--mu", "1"]) == EXIT_FORMAT
+    assert capsys.readouterr().err == "error: raster holds 899 bytes, need 900\n"
+
+
+def test_extract_reads_a_header_comment_longer_than_the_first_read(workspace):
+    tmp, _, payload = workspace
+    stego = tmp / "stego.pgm"
+    assert main(_embed_args(tmp, stego)) == EXIT_OK
+    data = stego.read_bytes()
+    stego.write_bytes(b"P5\n#" + b"c" * (3 * image._HEAD_READ) + data[2:])
+    assert load_pgm(stego) == image.read_pgm(data)
+    assert main(["extract", "--stego", str(stego), "--out", str(tmp / "back.pgm")]) == EXIT_OK
+    assert (tmp / "back.pgm").read_bytes() == write_pgm(payload)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_extract_reads_a_pipe(workspace):
+    tmp, _, payload = workspace
+    stego = tmp / "stego.pgm"
+    assert main(_embed_args(tmp, stego)) == EXIT_OK
+    r, w = os.pipe()
+    try:
+        os.write(w, stego.read_bytes())  # 9 KB, inside the pipe's buffer
+        os.close(w)
+        assert main(["extract", "--stego", f"/dev/fd/{r}", "--out", str(tmp / "back.pgm")]) == EXIT_OK
+    finally:
+        os.close(r)
+    assert (tmp / "back.pgm").read_bytes() == write_pgm(payload)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize(
+    "damage, mu, code",
+    [(None, 1, EXIT_OK), (None, 2, EXIT_STREAM), ("magic", 1, EXIT_FORMAT), ("cut", 1, EXIT_FORMAT)],
+)
+def test_extract_and_capacity_close_the_stego_on_every_path(workspace, damage, mu, code):
+    tmp, _, _ = workspace
+    stego = tmp / "stego.pgm"
+    assert main(_embed_args(tmp, stego)) == EXIT_OK
+    data = stego.read_bytes()
+    if damage == "magic":
+        stego.write_bytes(b"P6" + data[2:])
+    elif damage == "cut":
+        stego.write_bytes(data[:-1])
+    before = sorted(os.listdir("/proc/self/fd"))
+    argv = ["--stego", str(stego), "--out", str(tmp / "back.pgm"), "--mu", str(mu), "--force"]
+    assert main(["extract", *argv]) == code
+    assert main(["capacity", "--cover", str(stego)]) == (code if damage else EXIT_OK)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+@st.composite
+def extract_cases(draw):
+    """A random PGM raster, half the time a real stego, and the mu to extract it with."""
+    height, width = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    img = GrayImage(rng.integers(0, 256, (height, width), dtype=np.uint8))
+    mu = draw(st.integers(1, 4))
+    budget = codec.max_payload_bytes(img, codec.StegoParams(mu))
+    if budget and draw(st.booleans()):
+        rows = draw(st.integers(1, min(budget, 6)))
+        cols = draw(st.integers(1, budget // rows))
+        payload = GrayImage(rng.integers(0, 256, (rows, cols), dtype=np.uint8))
+        img = codec.embed(img, payload, codec.StegoParams(mu))
+        mu = draw(st.one_of(st.just(mu), st.integers(1, 4)))
+    return img, mu
+
+
+@settings(max_examples=150, deadline=None)
+@given(extract_cases())
+def test_cli_extract_matches_library_extract(case):
+    """Reading only the stream's rows changes no outcome: the exit code and the
+    payload bytes are those of ``codec.extract`` on the whole loaded image."""
+    img, mu = case
+    with tempfile.TemporaryDirectory() as tmp:
+        stego, out = Path(tmp) / "stego.pgm", Path(tmp) / "back.pgm"
+        save_pgm(stego, img)
+        try:
+            expect = write_pgm(codec.extract(load_pgm(stego), codec.StegoParams(mu)))
+            expect_code = EXIT_OK
+        except codec.CorruptStreamError:
+            expect, expect_code = None, EXIT_STREAM
+        assert main(["extract", "--stego", str(stego), "--out", str(out), "--mu", str(mu)]) == expect_code
+        assert (out.read_bytes() if out.exists() else None) == expect
 
 
 def test_missing_output_directory_names_the_target(workspace, capsys):

@@ -1,5 +1,8 @@
 import os
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,10 +15,12 @@ from lbpstego.image import (
     GrayImage,
     PgmDepthError,
     PgmError,
+    PgmFile,
     PgmFormatError,
     PgmTruncatedError,
     load_pgm,
     load_raster,
+    pgm_chunks,
     read_pgm,
     save_pgm,
     write_pgm,
@@ -186,6 +191,70 @@ class TestLoadPgm:
             os.close(r)
 
 
+class TestPgmFile:
+    # 64 KB of raster, well past the 8 KB a buffered file reads ahead.
+    IMG = GrayImage(np.random.default_rng(7).integers(0, 256, (64, 1024), dtype=np.uint8))
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        save_pgm(tmp_path / "a.pgm", self.IMG)
+        return tmp_path / "a.pgm"
+
+    def test_rows_on_demand_are_the_image_rows_and_read_only(self, path):
+        with PgmFile(path) as f:
+            assert (f.height, f.width) == (64, 1024)
+            for stop in (3, 2, 40, 64, 99):
+                top = f.rows(stop)
+                assert np.array_equal(top, self.IMG.pixels[:stop])
+                with pytest.raises(ValueError):
+                    top.setflags(write=True)
+
+    def test_file_truncated_after_open_raises_from_rows(self, path):
+        header = len(pgm_chunks(self.IMG)[0])
+        with PgmFile(path) as f:
+            assert np.array_equal(f.rows(2), self.IMG.pixels[:2])
+            os.truncate(path, header + 40 * 1024 + 5)
+            with pytest.raises(PgmTruncatedError, match="raster holds 40965 bytes, need 65536"):
+                f.rows(64)
+            with pytest.raises(PgmTruncatedError):
+                f.rows(41)
+            # The rows still on disk read back exactly; no unread byte is handed out.
+            assert np.array_equal(f.rows(40), self.IMG.pixels[:40])
+            with pytest.raises(PgmTruncatedError):
+                f.rows(64)
+
+    def test_short_file_fails_at_open_whatever_rows_are_asked(self, path):
+        data = path.read_bytes()[:-1024]
+        path.write_bytes(data)
+        with pytest.raises(PgmTruncatedError) as from_bytes:
+            read_pgm(data)
+        with pytest.raises(PgmTruncatedError) as from_file:
+            PgmFile(path)
+        assert str(from_file.value) == str(from_bytes.value) == "raster holds 64512 bytes, need 65536"
+
+    @pytest.mark.parametrize("comment", [0, image._HEAD_READ - 12, image._HEAD_READ, 5 * image._HEAD_READ])
+    def test_header_comment_longer_than_the_first_read(self, tmp_path, comment):
+        header, raster = pgm_chunks(self.IMG)
+        path = tmp_path / "a.pgm"
+        path.write_bytes(b"P5\n#" + b"c" * comment + header[2:] + raster)
+        assert load_pgm(path) == self.IMG
+        with PgmFile(path) as f:
+            assert np.array_equal(f.rows(5), self.IMG.pixels[:5])
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_read_whole_at_open(self):
+        r, w = os.pipe()
+        small = GrayImage(self.IMG.pixels[:8, :64])
+        try:
+            os.write(w, write_pgm(small))
+            os.close(w)
+            with PgmFile(f"/dev/fd/{r}") as f:
+                assert np.array_equal(f.rows(3), small.pixels[:3])
+                assert np.array_equal(f.rows(8), small.pixels)
+        finally:
+            os.close(r)
+
+
 @settings(max_examples=60)
 @given(
     hnp.arrays(
@@ -231,3 +300,26 @@ def test_read_pgm_returns_an_image_or_raises_pgm_error(data):
         return
     assert isinstance(img, GrayImage)
     assert len(data) >= img.width * img.height
+
+
+@settings(max_examples=300)
+@given(pgm_like_bytes(), st.integers(1, 24))
+def test_load_pgm_of_a_file_is_read_pgm_of_its_bytes(data, first_read):
+    """Whatever the first read cuts the header at, the file gives the image or
+    the error, message included, that its bytes give."""
+    try:
+        expect = read_pgm(data)
+    except PgmError as exc:
+        expect = exc
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(image, "_HEAD_READ", first_read):
+        path = Path(tmp) / "a.pgm"
+        path.write_bytes(data)
+        for load in (load_pgm, lambda p: GrayImage(load_raster(p))):
+            try:
+                got = load(path)
+            except PgmError as exc:
+                got = exc
+            if isinstance(expect, PgmError):
+                assert type(got) is type(expect) and str(got) == str(expect)
+            else:
+                assert got == expect
