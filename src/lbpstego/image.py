@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import os
+import re
 import stat
 from dataclasses import dataclass
 
@@ -82,40 +84,41 @@ def _adopt(px: np.ndarray) -> GrayImage:
     return img
 
 
-# The bytes ``bytes.isspace`` accepts; tested by value so the header parser
-# also reads a memoryview, which has no ``isspace``.
+# The bytes ``bytes.isspace`` accepts, tested by value: the header is read
+# through a memoryview, which has no ``isspace``.
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+
+# One header field from a field's end: whitespace and ``#`` comments (to the
+# end of the line) are skipped, and the field runs to the next whitespace or
+# ``#``; it is empty only where the data ends.
+_FIELD = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\n\r]*)*([^ \t\n\r\x0b\x0c#]*)")
+
+# A header, up to and including the whitespace byte before the raster, must
+# lie in the first this many bytes; a longer one is malformed.
+_MAX_HEADER = 1 << 20
 
 
 def _header_tokens(data):
-    """Yield (token, end_offset) for whitespace-separated header fields.
-
-    ``#`` starts a comment running to end of line; tokens may be separated
-    by any amount of whitespace.
-    """
-    i, n = 0, len(data)
+    """Yield (token, end_offset) for the whitespace-separated header fields of
+    ``data``, a bytes-like object."""
+    end = 0
     while True:
-        while i < n and data[i] in _WHITESPACE:
-            i += 1
-        if i < n and data[i] == 0x23:  # '#'
-            while i < n and data[i] not in (0x0A, 0x0D):
-                i += 1
-            continue
-        start = i
-        while i < n and data[i] not in _WHITESPACE and data[i] != 0x23:
-            i += 1
-        if start == i:
+        field = _FIELD.match(data, end)
+        end = field.end()
+        if field.start(1) == end:
             raise PgmFormatError("incomplete PGM header")
-        yield bytes(data[start:i]), i
+        yield field.group(1), end
 
 
 def _header(data) -> tuple[int, int, int]:
     """``(height, width, offset)`` of the PGM header at the start of ``data``,
-    a bytes-like object; the raster starts at byte ``offset``."""
+    a bytes-like object; the raster starts at byte ``offset``. Only the first
+    ``_MAX_HEADER`` bytes are read."""
+    data = memoryview(data)[:_MAX_HEADER]
     tokens = _header_tokens(data)
     magic, _ = next(tokens)
     if magic != b"P5":
-        raise PgmFormatError(f"not a binary PGM stream (magic {magic!r})")
+        raise PgmFormatError(f"not a binary PGM stream (magic {magic[:8]!r})")
     (w_tok, _), (h_tok, _), (max_tok, end) = next(tokens), next(tokens), next(tokens)
     fields = (w_tok, h_tok, max_tok)
     if not all(tok.isdigit() for tok in fields):  # int() would also take "+1", "1_0"
@@ -138,23 +141,18 @@ def _check_raster(raster_bytes: int, height: int, width: int) -> None:
         raise PgmTruncatedError(f"raster holds {raster_bytes} bytes, need {width * height}")
 
 
-def _raster(data) -> np.ndarray:
-    """The ``(height, width)`` uint8 view of the raster inside PGM ``data``,
-    a bytes-like object; the view is writable exactly when ``data`` is."""
-    height, width, offset = _header(data)
-    _check_raster(len(data) - offset, height, width)
-    px = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=offset)
-    return px.reshape(height, width)
-
-
 def read_pgm(data: bytes) -> GrayImage:
     """Decode binary 8-bit PGM (``P5``) bytes into a :class:`GrayImage`.
 
     The reader is liberal about header whitespace and ``#`` comments but
-    requires maxval 255, a single whitespace byte before the raster, and a
-    raster of at least width*height bytes.
+    requires maxval 255, a single whitespace byte before the raster, a header
+    of at most ``_MAX_HEADER`` bytes, and a raster of at least width*height
+    bytes.
     """
-    return _adopt(_raster(data))
+    height, width, offset = _header(data)
+    _check_raster(len(data) - offset, height, width)
+    px = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=offset)
+    return _adopt(px.reshape(height, width))
 
 
 def pgm_chunks(img: GrayImage) -> tuple[bytes, memoryview]:
@@ -181,9 +179,10 @@ class PgmFile:
 
     Use it as a context manager. Opening reads and checks the header, and
     checks that the file is long enough for the raster it announces, so
-    ``height`` and ``width`` are known before any pixel is read.
-    :meth:`rows` reads only the rows no earlier call read. A pipe or device
-    reports no size, so one is read whole at open.
+    ``height`` and ``width`` are known before any pixel is read. Each
+    :meth:`rows` call reads its rows from the raster start; the reader keeps
+    none. A pipe or device reports no size, so one is read whole at open and
+    then read like a file.
     """
 
     def __init__(self, path):
@@ -195,42 +194,34 @@ class PgmFile:
             raise
 
     def _open(self) -> None:
+        st = os.fstat(self._file.fileno())
+        size = st.st_size
+        if not stat.S_ISREG(st.st_mode):  # a pipe reports no size: read it whole
+            data = self._file.read()
+            self._file.close()
+            self._file, size = io.BytesIO(data), len(data)
         f = self._file
-        st = os.fstat(f.fileno())
-        if not stat.S_ISREG(st.st_mode):
-            self._px = _raster(memoryview(bytearray(f.read())))
-            self.height, self.width = self._px.shape
-            return
         head = f.read(_HEAD_READ)
         while True:
             try:
-                self.height, self.width, offset = _header(head)
+                self.height, self.width, self._offset = _header(head)
                 break
             except PgmError:  # perhaps only the cut (maxval "25" of "255"): read more
-                more = f.read(len(head))
-                if not more:  # the error is the whole file's own
+                more = f.read(len(head)) if len(head) < _MAX_HEADER else b""
+                if not more:  # the error is the whole file's, or its first _MAX_HEADER bytes'
                     raise
                 head += more
-        _check_raster(st.st_size - offset, self.height, self.width)
-        self._offset = offset
-        self._px = np.empty((0, self.width), dtype=np.uint8)  # the rows read so far
+        _check_raster(size - self._offset, self.height, self.width)
 
     def _read(self, stop: int) -> np.ndarray:
-        """The first ``stop`` rows as a writable view of a buffer only this
-        reader holds, which grows to ``stop`` rows and no further."""
-        stop = min(stop, self.height)
-        have = len(self._px)
-        if stop > have:
-            px = np.empty((stop, self.width), dtype=np.uint8)  # not zeroed: the read fills it
-            px[:have] = self._px
-            self._file.seek(self._offset + have * self.width)
-            got = self._file.readinto(px[have:])
-            if got < (stop - have) * self.width:  # the file shrank since it was opened
-                raise PgmTruncatedError(
-                    f"raster holds {have * self.width + got} bytes, need {self.width * self.height}"
-                )
-            self._px = px
-        return self._px[:stop]
+        """The first ``stop`` rows, read from the raster start into a new
+        writable buffer that only the caller holds."""
+        px = np.empty((min(stop, self.height), self.width), np.uint8)  # not zeroed: the read fills it
+        self._file.seek(self._offset)
+        got = self._file.readinto(px)
+        if got < px.size:  # the file shrank since it was opened
+            raise PgmTruncatedError(f"raster holds {got} bytes, need {self.width * self.height}")
+        return px
 
     def rows(self, stop: int) -> np.ndarray:
         """The first ``stop`` rows, a ``(stop, width)`` view that no one can

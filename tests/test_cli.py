@@ -370,6 +370,37 @@ def test_capacity_of_a_truncated_raster_maps_to_exit_4(tmp_path, capsys):
     assert capsys.readouterr().err == "error: raster holds 899 bytes, need 900\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["embed", "--cover", "{zero}", "--payload", "{payload}", "--out", "{out}"],
+        ["embed", "--cover", "{cover}", "--payload", "{zero}", "--out", "{out}"],
+        ["extract", "--stego", "{zero}", "--out", "{out}"],
+        ["capacity", "--cover", "{zero}"],
+        ["metrics", "--a", "{zero}", "--b", "{cover}"],
+        ["rs", "--image", "{zero}"],
+        ["pdh", "--image", "{zero}"],
+        ["compare", "--cover-dir", "{covers}", "--payload", "{payload}", "--csv", "{out}"],
+    ],
+    ids=["embed-cover", "embed-payload", "extract", "capacity", "metrics", "rs", "pdh", "compare-cover"],
+)
+def test_large_file_of_zeros_is_refused_in_one_short_line(workspace, capsys, argv):
+    """Only the first _MAX_HEADER bytes are scanned for a header, and the bad
+    magic is quoted to 8 bytes, however large the file."""
+    tmp, _, _ = workspace
+    covers = tmp / "covers"
+    covers.mkdir()
+    zero = covers / "zero.pgm"
+    zero.touch()
+    os.truncate(zero, 16 << 20)  # sparse: no disk blocks written
+    names = {"zero": zero, "cover": tmp / "cover.pgm", "payload": tmp / "payload.pgm",
+             "covers": covers, "out": tmp / "out"}
+    assert main([arg.format(**names) for arg in argv]) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n") and len(err) < 200
+    assert not (tmp / "out").exists()
+
+
 def test_extract_reads_a_header_comment_longer_than_the_first_read(workspace):
     tmp, _, payload = workspace
     stego = tmp / "stego.pgm"

@@ -1,5 +1,6 @@
 import os
 import tempfile
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from pgm_oracle import header_tokens
 
 from lbpstego import image
 from lbpstego.image import (
@@ -95,6 +97,10 @@ class TestReadPgm:
             read_pgm(b"P6\n1 1\n255\n\x00")
         with pytest.raises(PgmFormatError):
             read_pgm(b"hello world")
+
+    def test_bad_magic_is_quoted_to_eight_bytes(self):
+        with pytest.raises(PgmFormatError, match=r"^not a binary PGM stream \(magic b'P6xxxxxx'\)$"):
+            read_pgm(b"P6" + b"x" * 5000 + b" 1 1 255 \x00")
 
     def test_truncated_raster(self):
         with pytest.raises(PgmTruncatedError):
@@ -241,6 +247,18 @@ class TestPgmFile:
         with PgmFile(path) as f:
             assert np.array_equal(f.rows(5), self.IMG.pixels[:5])
 
+    def test_reader_keeps_no_rows(self, path):
+        with PgmFile(path) as f:
+            top = f.rows(3)
+            view = f.rows(64)
+            owner = view.base.obj
+            while owner.base is not None:
+                owner = owner.base
+            rows_read = weakref.ref(owner)
+            del view, owner
+            assert rows_read() is None
+            assert np.array_equal(top, self.IMG.pixels[:3])
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_pipe_is_read_whole_at_open(self):
         r, w = os.pipe()
@@ -253,6 +271,39 @@ class TestPgmFile:
                 assert np.array_equal(f.rows(8), small.pixels)
         finally:
             os.close(r)
+
+
+class TestHeaderLimit:
+    IMG = GrayImage(np.arange(12, dtype=np.uint8).reshape(3, 4))
+
+    def pgm(self, header_bytes):
+        """IMG's PGM with a comment line after the magic that makes its header,
+        raster separator included, ``header_bytes`` long."""
+        header, raster = pgm_chunks(self.IMG)
+        return b"P5\n#" + b"c" * (header_bytes - len(header) - 2) + b"\n" + header[3:] + raster
+
+    @pytest.mark.parametrize("first_read", [image._HEAD_READ, 3])
+    def test_header_of_the_limit_loads(self, tmp_path, first_read):
+        data = self.pgm(image._MAX_HEADER)
+        (tmp_path / "a.pgm").write_bytes(data)
+        assert read_pgm(data) == self.IMG
+        with mock.patch.object(image, "_HEAD_READ", first_read):
+            assert load_pgm(tmp_path / "a.pgm") == self.IMG
+
+    @pytest.mark.parametrize("first_read", [image._HEAD_READ, 3])
+    @pytest.mark.parametrize(
+        "over, message",
+        [(1, "missing whitespace between maxval and raster"), (64, "incomplete PGM header")],
+        ids=["separator-past-the-limit", "comment-past-the-limit"],
+    )
+    def test_header_past_the_limit_is_refused(self, tmp_path, first_read, over, message):
+        data = self.pgm(image._MAX_HEADER + over)
+        (tmp_path / "a.pgm").write_bytes(data)
+        with pytest.raises(PgmFormatError) as from_bytes:
+            read_pgm(data)
+        with mock.patch.object(image, "_HEAD_READ", first_read), pytest.raises(PgmFormatError) as from_file:
+            load_pgm(tmp_path / "a.pgm")
+        assert str(from_file.value) == str(from_bytes.value) == message
 
 
 @settings(max_examples=60)
@@ -302,24 +353,66 @@ def test_read_pgm_returns_an_image_or_raises_pgm_error(data):
     assert len(data) >= img.width * img.height
 
 
+def _scan(tokens):
+    """Every ``(token, end)`` pair a header scanner yields, then the message
+    of the error that ends it (each ends in one where the data runs out)."""
+    pairs = []
+    try:
+        for pair in tokens:
+            pairs.append(pair)
+    except PgmFormatError as exc:
+        return pairs, str(exc)
+
+
+@settings(max_examples=1000)
+@given(st.lists(st.one_of(_HEADER_BYTES, st.sampled_from([0x0B, 0x0C])), max_size=30).map(bytes))
+def test_header_scanner_is_the_byte_loop(data):
+    expect = _scan(header_tokens(data))
+    for form in (data, memoryview(data), memoryview(b"P" + data)[1:]):
+        assert _scan(image._header_tokens(form)) == expect
+
+
+def _outcome(load, source):
+    """The image ``load(source)`` gives, or the PgmError it raises."""
+    try:
+        return load(source)
+    except PgmError as exc:
+        return exc
+
+
+def _assert_same_outcome(got, expect):
+    if isinstance(expect, PgmError):
+        assert type(got) is type(expect) and str(got) == str(expect)
+    else:
+        assert got == expect
+
+
 @settings(max_examples=300)
 @given(pgm_like_bytes(), st.integers(1, 24))
 def test_load_pgm_of_a_file_is_read_pgm_of_its_bytes(data, first_read):
     """Whatever the first read cuts the header at, the file gives the image or
     the error, message included, that its bytes give."""
-    try:
-        expect = read_pgm(data)
-    except PgmError as exc:
-        expect = exc
+    expect = _outcome(read_pgm, data)
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(image, "_HEAD_READ", first_read):
         path = Path(tmp) / "a.pgm"
         path.write_bytes(data)
         for load in (load_pgm, lambda p: GrayImage(load_raster(p))):
-            try:
-                got = load(path)
-            except PgmError as exc:
-                got = exc
-            if isinstance(expect, PgmError):
-                assert type(got) is type(expect) and str(got) == str(expect)
-            else:
-                assert got == expect
+            _assert_same_outcome(_outcome(load, path), expect)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@settings(max_examples=60)
+@given(pgm_like_bytes())
+def test_load_pgm_of_a_pipe_is_read_pgm_of_its_bytes(data):
+    """A pipe, read whole and then like a file, gives what its bytes give
+    wherever the first read cuts the header."""
+    expect = _outcome(read_pgm, data)
+    for first_read in range(1, 25):
+        r, w = os.pipe()
+        try:
+            os.write(w, data)  # at most a few hundred bytes, inside the pipe's buffer
+            os.close(w)
+            with mock.patch.object(image, "_HEAD_READ", first_read):
+                _assert_same_outcome(_outcome(load_pgm, f"/dev/fd/{r}"), expect)
+        finally:
+            os.close(r)
