@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import shutil
+import stat
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -52,11 +52,16 @@ def _write_file(path, chunks, force: bool) -> int:
     """Write the bytes-like ``chunks`` in turn beside ``path`` and rename the
     result over ``path``, so a failed or interrupted write never leaves a
     partial file behind."""
-    err = _refuse_existing([path], force)
-    if err:
-        return err
-    target = Path(path).resolve()  # write through a symlink, as a plain write does
-    exists = target.exists()
+    target = Path(path)
+    try:
+        st = os.lstat(target)
+        if stat.S_ISLNK(st.st_mode):  # write through a symlink, as a plain write does
+            target = target.resolve()
+            st = os.stat(target)
+    except (FileNotFoundError, NotADirectoryError):  # a new file, or a dangling link's target
+        st = None
+    if st is not None and not force:
+        return _fail(EXIT_EXISTS, f"{path} exists; pass --force to overwrite")
     tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
     try:
         f = open(tmp, "xb")  # a new file gets the mode a plain write gives
@@ -66,8 +71,8 @@ def _write_file(path, chunks, force: bool) -> int:
         with f:
             for chunk in chunks:
                 f.write(chunk)
-        if exists:
-            shutil.copymode(target, tmp)
+            if st is not None:  # an overwrite keeps the target's mode
+                os.fchmod(f.fileno(), stat.S_IMODE(st.st_mode))
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import GrayImage, PgmFile, _adopt
-from .lbp import NEIGHBOR_OFFSETS, PACK, lbp_codes
+from .lbp import NEIGHBOR_OFFSETS, lbp_codes
 
 HEADER_BYTES = 4
 MAX_PAYLOAD_SIDE = 0xFFFF
@@ -31,7 +31,10 @@ _RING_POS = tuple((1 + dr, 1 + dc) for dr, dc in NEIGHBOR_OFFSETS)
 # word whose byte q is ring neighbor q.
 _WORD = np.dtype("<u8")
 _ONES = np.uint64(0x0101010101010101)
-_EVEN_BYTES = np.uint64(0x00FF00FF00FF00FF)
+# A word of eight 0/1 bytes times _SWAP_PACK has byte q's bit at bit
+# 63 - (q ^ 1): the top byte is the pair shuffle of the word's lbp.PACK pattern.
+# The partial products are distinct powers of two, so nothing carries.
+_SWAP_PACK = np.uint64(0x4080102004080102)
 
 _PAIR_LO = 0b01010101
 _PAIR_HI = 0b10101010
@@ -108,7 +111,10 @@ def sync_neighbor(center, cover_value, stego_value, mu: int):
     dtype = np.result_type(stego_value)
     was_ge = np.greater_equal(center, cover_value)
     now_ge = np.greater_equal(center, stego_value)
-    return stego_value + np.subtract(now_ge, was_ge, dtype=dtype) * dtype.type(1 << mu)
+    step = np.subtract(now_ge.view(np.uint8), was_ge.view(np.uint8), dtype=dtype)
+    step *= dtype.type(1 << mu)
+    step += stego_value
+    return step
 
 
 def _slabs(pixels: np.ndarray, n: int):
@@ -119,14 +125,16 @@ def _slabs(pixels: np.ndarray, n: int):
     row, numbered row-major. Yield ``(start, stop, tiles)``: ``tiles`` is a
     (rows, block_cols, 3, 3) view of ``pixels`` whose first ``stop - start``
     blocks are blocks ``start..stop``. Only the last slab may end inside its
-    last row.
+    last row. A walk inside the first block row takes only its ``n`` blocks,
+    a (1, n, 3, 3) view.
     """
     cols = pixels.shape[1] // 3
     rows = -(-n // cols)
+    span = min(n, cols)
     step = max(1, _SLAB_BLOCKS // cols)
     for top in range(0, rows, step):
         bottom = min(top + step, rows)
-        tiles = pixels[3 * top : 3 * bottom, : 3 * cols].reshape(bottom - top, 3, cols, 3)
+        tiles = pixels[3 * top : 3 * bottom, : 3 * span].reshape(bottom - top, 3, span, 3)
         yield top * cols, min(n, bottom * cols), tiles.swapaxes(1, 2)
 
 
@@ -274,22 +282,19 @@ def _decode_stream(pixels: np.ndarray, n: int, mu: int) -> np.ndarray:
     for start, stop, tiles in _slabs(pixels, n):
         ring = _rings(tiles).reshape(-1, 8)[: stop - start]
         codes = lbp_codes(_centers(tiles, stop - start), ring)
-        # Packing a ring word with its adjacent bytes swapped gives the pair
-        # shuffle of its plain pack, which undoes the embed's shuffle. The
-        # ring is a private copy, free to be shifted in place. Bit mu - 1 - t
-        # of every ring neighbor belongs to byte t.
+        # Bit mu - 1 - t of every ring neighbor belongs to byte t. Packing
+        # those bits with _SWAP_PACK also undoes the embed's pair shuffle.
         words = ring.view(_WORD).reshape(-1)
-        swapped = words & _EVEN_BYTES
-        swapped <<= 8
-        words >>= 8
-        words &= _EVEN_BYTES
-        swapped |= words
-        bits = np.empty_like(swapped)
+        bits = np.empty_like(words)
         packed = bits.view(np.uint8)[7::8]  # the top byte of each word
         for t in range(mu):
-            np.right_shift(swapped, mu - 1 - t, out=bits)
-            bits &= _ONES
-            bits *= PACK
+            shift = mu - 1 - t
+            if shift:
+                np.right_shift(words, shift, out=bits)
+                bits &= _ONES
+            else:
+                np.bitwise_and(words, _ONES, out=bits)
+            bits *= _SWAP_PACK
             np.bitwise_xor(packed, codes, out=out[start:stop, t])
     return out.reshape(-1)
 

@@ -186,7 +186,7 @@ class PgmFile:
     """
 
     def __init__(self, path):
-        self._file = open(path, "rb")
+        self._file = open(path, "rb", buffering=0)  # rows are read straight into their buffer
         try:
             self._open()
         except BaseException:
@@ -217,10 +217,14 @@ class PgmFile:
         """The first ``stop`` rows, read from the raster start into a new
         writable buffer that only the caller holds."""
         px = np.empty((min(stop, self.height), self.width), np.uint8)  # not zeroed: the read fills it
+        view = memoryview(px.reshape(-1))
         self._file.seek(self._offset)
-        got = self._file.readinto(px)
-        if got < px.size:  # the file shrank since it was opened
-            raise PgmTruncatedError(f"raster holds {got} bytes, need {self.width * self.height}")
+        got = 0
+        while got < len(view):  # an unbuffered read may return fewer bytes than asked
+            n = self._file.readinto(view[got:])
+            if not n:  # the file shrank since it was opened
+                raise PgmTruncatedError(f"raster holds {got} bytes, need {self.width * self.height}")
+            got += n
         return px
 
     def rows(self, stop: int) -> np.ndarray:

@@ -13,7 +13,8 @@ PACK = np.uint64(0x8040201008040201)
 
 
 def lbp_codes(centers: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
-    """8-bit patterns of ``centers`` against ``neighbors`` (n, 8), as uint8.
+    """8-bit patterns of ``centers`` against ``neighbors`` (n, 8), as a
+    strided uint8 view.
 
     ``centers`` is (n,), or (n, 8) with each center repeated along its row,
     which compares without broadcasting.
@@ -24,4 +25,6 @@ def lbp_codes(centers: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
     """
     ge = np.empty(neighbors.shape, dtype=bool)
     np.greater_equal(centers[:, None] if centers.ndim == 1 else centers, neighbors, out=ge)
-    return (ge.view("<u8").reshape(-1) * PACK >> 56).astype(np.uint8)
+    words = ge.view("<u8").reshape(-1)
+    words *= PACK
+    return words.view(np.uint8)[7::8]  # the top byte of each product

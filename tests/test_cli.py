@@ -500,6 +500,22 @@ def test_force_writes_through_a_symlink(workspace):
     assert real.read_bytes().startswith(b"P5")
 
 
+def test_force_free_write_through_a_dangling_symlink_creates_its_target(workspace):
+    """A link to a missing file does not count as an existing output: the
+    write goes through it and creates the target, as a plain write does."""
+    tmp, _, _ = workspace
+    umask = os.umask(0)
+    os.umask(umask)
+    real, link = tmp / "real.pgm", tmp / "link.pgm"
+    link.symlink_to(real)
+    assert main(_embed_args(tmp, link)) == EXIT_OK
+    assert link.is_symlink()
+    assert real.read_bytes().startswith(b"P5")
+    assert real.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert main(_embed_args(tmp, link)) == EXIT_EXISTS  # now it points at a file
+    assert sorted(p.name for p in tmp.iterdir()) == ["cover.pgm", "link.pgm", "payload.pgm", "real.pgm"]
+
+
 def test_written_files_get_plain_write_modes(workspace):
     tmp, _, _ = workspace
     umask = os.umask(0)

@@ -21,6 +21,7 @@ from lbpstego.codec import (
     sync_neighbor,
 )
 from lbpstego.image import GrayImage, write_pgm
+from lbpstego.lbp import PACK
 
 
 def gray(rows):
@@ -84,6 +85,48 @@ class TestByteOps:
         out = shuffle_byte(vals)
         assert out.dtype == np.uint8
         assert all(int(out[b]) == shuffle_byte(b) for b in range(256))
+
+
+class TestSwapPack:
+    def test_every_bit_word_packs_to_the_shuffle_of_its_plain_pack(self):
+        """Byte q of a 0/1-byte word lands at bit 63 - (q ^ 1) of its product
+        with _SWAP_PACK: the top byte is shuffle_byte of the PACK pattern."""
+        bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+        words = np.ascontiguousarray(bits).view("<u8").reshape(-1)
+        swapped = (words * codec._SWAP_PACK) >> np.uint64(56)
+        plain = (words * PACK) >> np.uint64(56)
+        assert np.array_equal(swapped, shuffle_byte(plain))
+        assert sorted(plain.tolist()) == list(range(256))
+
+
+class TestSlabs:
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    def test_walk_inside_one_block_row_takes_only_its_blocks(self, n):
+        pixels = np.arange(12 * 21, dtype=np.uint8).reshape(12, 21)  # 7 block columns
+        (start, stop, tiles), *rest = codec._slabs(pixels, n)
+        assert not rest and (start, stop) == (0, n)
+        assert tiles.shape == (1, n, 3, 3)
+        for b in range(n):
+            assert np.array_equal(tiles[0, b], pixels[:3, 3 * b : 3 * b + 3])
+
+    @pytest.mark.parametrize(
+        "n, slab", [(7, 16384), (8, 16384), (20, 16384), (20, 7), (20, 14), (28, 1)]
+    )
+    def test_walk_past_one_block_row_yields_full_rows(self, n, slab, monkeypatch):
+        pixels = np.arange(12 * 22, dtype=np.uint8).reshape(12, 22)  # 7 block columns, 1 spare column
+        monkeypatch.setattr(codec, "_SLAB_BLOCKS", slab)
+        step = max(1, slab // 7)
+        rows = -(-n // 7)
+        walked = list(codec._slabs(pixels, n))
+        assert [(start, stop) for start, stop, _ in walked] == [
+            (7 * top, min(n, 7 * (top + step))) for top in range(0, rows, step)
+        ]
+        for start, _, tiles in walked:
+            top = start // 7
+            bottom = top + len(tiles)
+            assert tiles.shape == (min(step, rows - top), 7, 3, 3)
+            assert np.array_equal(tiles[0, 0], pixels[3 * top : 3 * top + 3, :3])
+            assert np.array_equal(tiles[-1, -1], pixels[3 * bottom - 3 : 3 * bottom, 18:21])
 
 
 class TestSync:

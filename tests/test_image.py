@@ -1,3 +1,4 @@
+import io
 import os
 import tempfile
 import weakref
@@ -198,7 +199,7 @@ class TestLoadPgm:
 
 
 class TestPgmFile:
-    # 64 KB of raster, well past the 8 KB a buffered file reads ahead.
+    # 64 KB of raster, well past the 8 KB a buffered reader would read ahead.
     IMG = GrayImage(np.random.default_rng(7).integers(0, 256, (64, 1024), dtype=np.uint8))
 
     @pytest.fixture
@@ -228,6 +229,34 @@ class TestPgmFile:
             assert np.array_equal(f.rows(40), self.IMG.pixels[:40])
             with pytest.raises(PgmTruncatedError):
                 f.rows(64)
+
+    @pytest.mark.parametrize("most", [1, 1000, 4096])
+    def test_short_reads_are_read_on_until_the_rows_are_full(self, path, most):
+        """The file is read unbuffered, and one read may return fewer bytes
+        than asked: rows() reads on until its buffer is full, and a file
+        that shrank after open still fails with the same message."""
+        header = len(pgm_chunks(self.IMG)[0])
+
+        class ShortReads:
+            def __init__(self, raw):
+                self.raw, self.calls = raw, 0
+
+            def readinto(self, buf):
+                self.calls += 1
+                return self.raw.readinto(memoryview(buf)[:most])
+
+            def __getattr__(self, name):
+                return getattr(self.raw, name)
+
+        with PgmFile(path) as f:
+            assert isinstance(f._file, io.FileIO)
+            f._file = short = ShortReads(f._file)
+            assert np.array_equal(f.rows(64), self.IMG.pixels)
+            assert short.calls >= -(-64 * 1024 // most)
+            os.truncate(path, header + 40 * 1024 + 5)
+            with pytest.raises(PgmTruncatedError, match="raster holds 40965 bytes, need 65536"):
+                f.rows(64)
+            assert np.array_equal(f.rows(40), self.IMG.pixels[:40])
 
     def test_short_file_fails_at_open_whatever_rows_are_asked(self, path):
         data = path.read_bytes()[:-1024]

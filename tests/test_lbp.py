@@ -97,3 +97,26 @@ def test_vectorized_matches_scalar():
     for i in range(50):
         img = block_image(int(centers[i]), [int(v) for v in neighbors[i]])
         assert int(codes[i]) == lbp_code(img, 1, 1)
+
+
+def packed_reference(centers, neighbors):
+    """The pattern codes as ``>> 56`` of the packed product, cast to uint8."""
+    c = centers[:, None] if centers.ndim == 1 else centers
+    ge = np.ascontiguousarray(np.greater_equal(c, neighbors))
+    return (ge.view("<u8").reshape(-1) * PACK >> np.uint64(56)).astype(np.uint8)
+
+
+@pytest.mark.parametrize("repeated", [False, True], ids=["centers_n", "centers_n_by_8"])
+@pytest.mark.parametrize("n, seed", [(0, 0), (1, 1), (8, 9), (37, 2), (1000, 3), (4099, 4)])
+def test_codes_equal_the_shifted_product(n, seed, repeated):
+    """The top-byte view gives the same codes as the shift-and-cast of the
+    packed product, for no block, one block, the 8-block broadcast trap, and
+    other counts."""
+    rng = np.random.default_rng(seed)
+    centers = rng.integers(0, 256, n).astype(np.uint8)
+    neighbors = rng.integers(0, 256, (n, 8)).astype(np.uint8)
+    neighbors[::3, ::2] = centers[::3, None]  # ties count as 1
+    given_centers = np.repeat(centers[:, None], 8, axis=1) if repeated else centers
+    codes = lbp_codes(given_centers, neighbors)
+    assert codes.dtype == np.uint8 and codes.shape == (n,)
+    assert np.array_equal(codes, packed_reference(centers, neighbors))

@@ -12,6 +12,7 @@ from lbpstego import codec
 from lbpstego.codec import (
     HEADER_BYTES,
     StegoParams,
+    CorruptStreamError,
     capacity,
     clamp_cover,
     embed,
@@ -20,6 +21,7 @@ from lbpstego.codec import (
     _frame,
 )
 from lbpstego.image import GrayImage
+from lbpstego.lbp import NEIGHBOR_OFFSETS
 
 # Values at and next to the ends of the byte range and of the clamp bounds.
 EDGE_VALUES = (0, 1, 2, 127, 128, 253, 254, 255)
@@ -154,3 +156,65 @@ def test_decode_matches_block_stack_oracle(case, data):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(codec, "_SLAB_BLOCKS", slab)
             assert np.array_equal(_decode_stream(image.pixels, n, mu), expect), slab
+
+
+def assert_payload_or_corrupt(image, mu):
+    """``extract`` on ``image`` either returns the payload its header
+    announces, as the block-stack oracle decodes it, or raises
+    ``CorruptStreamError``; no other error gets out."""
+    try:
+        payload = extract(image, StegoParams(mu))
+    except CorruptStreamError:
+        return
+    needed = HEADER_BYTES + payload.height * payload.width
+    stream = oracle_decode_stream(image.pixels, -(-needed // mu), mu)
+    assert bytes(stream[:HEADER_BYTES]) == (
+        payload.height.to_bytes(2, "big") + payload.width.to_bytes(2, "big")
+    )
+    assert np.array_equal(payload.pixels.reshape(-1), stream[HEADER_BYTES:needed])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(3, 48),
+    st.integers(3, 48),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("random", "edges", "small header")),
+)
+def test_extract_of_any_image_returns_or_raises_corrupt_stream(height, width, mu, seed, kind):
+    """Hostile input: an image that was never a stego decodes to whatever its
+    blocks carry, and fails only with the documented error."""
+    rng = np.random.default_rng(seed)
+    if kind == "edges":
+        pixels = rng.choice(EDGE_VALUES, (height, width))
+    else:
+        pixels = rng.integers(0, 256, (height, width))
+    image = GrayImage(pixels.astype(np.uint8))
+    if kind == "small header" and capacity(image, StegoParams(mu)) > HEADER_BYTES:
+        # Rewrite the header blocks so they announce a payload that fits.
+        fits = capacity(image, StegoParams(mu)) - HEADER_BYTES
+        body = rng.integers(0, 256, (1, int(rng.integers(1, fits + 1))), dtype=np.uint8)
+        stego = embed(image, GrayImage(body), StegoParams(mu)).pixels
+        header_blocks = -(-HEADER_BYTES // mu)
+        header_rows = 3 * -(-header_blocks // (width // 3))
+        pixels[:header_rows] = stego[:header_rows]
+        image = GrayImage(pixels.astype(np.uint8))
+    assert_payload_or_corrupt(image, mu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(embed_cases(), st.data())
+def test_extract_of_a_stego_with_one_flipped_carrier_lsb(case, data):
+    """One flipped low bit in any used block's ring (header blocks included)
+    gives a payload or ``CorruptStreamError``, never another error."""
+    cover, payload, mu = case
+    if payload is None:
+        return
+    stego = embed(cover, payload, StegoParams(mu)).pixels.copy()
+    used = -(-(HEADER_BYTES + payload.width * payload.height) // mu)
+    k, l = divmod(data.draw(st.integers(0, used - 1)), cover.width // 3)
+    dr, dc = data.draw(st.sampled_from(NEIGHBOR_OFFSETS))
+    r, c = block_center(k, l)
+    stego[r + dr, c + dc] ^= 1
+    assert_payload_or_corrupt(GrayImage(stego), mu)
