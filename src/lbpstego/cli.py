@@ -26,7 +26,7 @@ EXIT_EXISTS = 7
 _EPILOG = """\
 exit codes:
   0  success
-  2  bad usage (unknown flag, bad value)
+  2  bad usage (unknown flag, bad value), or out of memory
   3  file unreadable or unwritable
   4  malformed or unsupported PGM file
   5  payload exceeds capacity / cover too small
@@ -35,20 +35,26 @@ exit codes:
 """
 
 
+class OutputExistsError(Exception):
+    """An output file exists and --force is off."""
+
+    def __init__(self, path):
+        super().__init__(f"{path} exists; pass --force to overwrite")
+
+
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
 
 
-def _refuse_existing(paths, force: bool) -> int:
-    """EXIT_EXISTS if any of ``paths`` exists and ``force`` is off, else EXIT_OK."""
+def _refuse_existing(paths, force: bool) -> None:
+    """Raise OutputExistsError if any of ``paths`` exists and ``force`` is off."""
     for path in paths:
         if not force and Path(path).exists():
-            return _fail(EXIT_EXISTS, f"{path} exists; pass --force to overwrite")
-    return EXIT_OK
+            raise OutputExistsError(path)
 
 
-def _write_file(path, chunks, force: bool) -> int:
+def _write_file(path, chunks, force: bool) -> None:
     """Write the bytes-like ``chunks`` in turn beside ``path`` and rename the
     result over ``path``, so a failed or interrupted write never leaves a
     partial file behind."""
@@ -61,12 +67,12 @@ def _write_file(path, chunks, force: bool) -> int:
     except (FileNotFoundError, NotADirectoryError):  # a new file, or a dangling link's target
         st = None
     if st is not None and not force:
-        return _fail(EXIT_EXISTS, f"{path} exists; pass --force to overwrite")
+        raise OutputExistsError(path)
     tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
     try:
         f = open(tmp, "xb")  # a new file gets the mode a plain write gives
     except FileNotFoundError:
-        return _fail(EXIT_IO, f"cannot write {path}: no such directory")
+        raise OSError(f"cannot write {path}: no such directory") from None
     try:
         with f:
             for chunk in chunks:
@@ -77,15 +83,13 @@ def _write_file(path, chunks, force: bool) -> int:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return EXIT_OK
 
 
-def _write_metrics(args, image: str, method: str, values: dict) -> int:
+def _write_metrics(args, image: str, method: str, values: dict) -> None:
     """Write one image's ``values`` as CSV rows to ``--csv``, if given."""
-    if args.csv is None:
-        return EXIT_OK
-    rows = analysis.metric_rows(Path(image).name, method, "", values)
-    return _write_file(args.csv, [analysis.emit_csv(rows).encode("ascii")], args.force)
+    if args.csv is not None:
+        rows = analysis.metric_rows(Path(image).name, method, "", values)
+        _write_file(args.csv, [analysis.emit_csv(rows).encode("ascii")], args.force)
 
 
 def _reject_duplicates(kind: str, values: list) -> None:
@@ -123,42 +127,35 @@ def _parse_methods(text: str) -> list[str]:
     return methods
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args) -> None:
     cover = load_raster(args.cover)  # not needed again: the stego is written into it
     payload = load_pgm(args.payload)
     params = codec.StegoParams(args.mu)
     stego = codec.embed(cover, payload, params)
-    err = _write_file(args.out, pgm_chunks(stego), args.force)
-    if err:
-        return err
+    _write_file(args.out, pgm_chunks(stego), args.force)
     stream = codec.HEADER_BYTES + payload.width * payload.height
     print(
         f"embedded {payload.width * payload.height} payload bytes "
         f"({stream} stream bytes, {100.0 * stream / codec.capacity(stego, params):.1f}% of capacity)"
     )
-    return EXIT_OK
 
 
-def cmd_extract(args) -> int:
+def cmd_extract(args) -> None:
     with PgmFile(args.stego) as stego:  # extract reads only the rows its stream occupies
         payload = codec.extract(stego, codec.StegoParams(args.mu))
-    err = _write_file(args.out, [write_pgm(payload)], args.force)
-    if err:
-        return err
+    _write_file(args.out, [write_pgm(payload)], args.force)
     print(f"extracted {payload.height}x{payload.width} payload")
-    return EXIT_OK
 
 
-def cmd_capacity(args) -> int:
+def cmd_capacity(args) -> None:
     with PgmFile(args.cover) as cover:  # reads the header alone
         params = codec.StegoParams(args.mu)
         cap = codec.capacity(cover, params)
         bpp = 8.0 * cap / (cover.width * cover.height)
         print(f"{cap} bytes ({bpp:.2f} bpp stream); max payload {codec.max_payload_bytes(cover, params)} bytes")
-    return EXIT_OK
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args) -> None:
     a = load_pgm(args.a)
     b = load_pgm(args.b)
     values = {
@@ -169,47 +166,42 @@ def cmd_metrics(args) -> int:
     print(f"psnr: {values['psnr']:.2f} dB")
     print(f"q_index: {values['q_index']:.6f}")
     print(f"histogram_l1: {values['hist_l1']:.6f}")
-    return _write_metrics(args, args.b, "pair", values)
+    _write_metrics(args, args.b, "pair", values)
 
 
-def cmd_rs(args) -> int:
+def cmd_rs(args) -> None:
     mask = _parse_mask(args.mask)
     rs = analysis.rs_analysis(load_pgm(args.image), mask)
     for label in ("r_m", "s_m", "r_neg_m", "s_neg_m", "diff_m", "diff_neg_m"):
         print(f"{label}: {getattr(rs, label):.6f}")
-    return _write_metrics(args, args.image, "rs", rs.metrics())
+    _write_metrics(args, args.image, "rs", rs.metrics())
 
 
-def cmd_pdh(args) -> int:
+def cmd_pdh(args) -> None:
     img = load_pgm(args.image)
     hist = analysis.pd_histogram(img)
     print(f"pairs: {hist.total}")
     peak = int(hist.differences[hist.counts.argmax()])
     print(f"peak difference: {peak} ({int(hist.counts.max())} pairs)")
     counts = zip(hist.differences.tolist(), hist.counts.tolist())
-    return _write_metrics(args, args.image, "pdh", {f"pdh_{d}": count for d, count in counts})
+    _write_metrics(args, args.image, "pdh", {f"pdh_{d}": count for d, count in counts})
 
 
-def cmd_corpus(args) -> int:
+def cmd_corpus(args) -> None:
     if args.count < 1 or args.size < analysis.Q_WINDOW:
         raise ValueError(f"need --count >= 1 and --size >= {analysis.Q_WINDOW}")
     covers = Path(args.out_dir) / "covers"
     paths = [covers / f"cover{i:02d}.pgm" for i in range(args.count)]
     paths.append(covers.parent / "payload.pgm")
-    err = _refuse_existing(paths, args.force)
-    if err:
-        return err
+    _refuse_existing(paths, args.force)
     images = synth.corpus(args.count, (args.size, args.size), seed=args.seed)
     rng = np.random.default_rng(args.seed + 1)
     half = args.size // 2
     images.append(GrayImage(rng.integers(0, 256, (half, half), dtype=np.uint8)))
     covers.mkdir(parents=True, exist_ok=True)
     for path, img in zip(paths, images):
-        err = _write_file(path, [write_pgm(img)], args.force)
-        if err:
-            return err
+        _write_file(path, [write_pgm(img)], args.force)
     print(f"wrote {args.count} covers to {covers} and {paths[-1]}")
-    return EXIT_OK
 
 
 def _print_summary(rows) -> None:
@@ -228,27 +220,24 @@ def _print_summary(rows) -> None:
         )
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> None:
     methods, rates = _parse_methods(args.methods), _parse_rates(args.rates)
     cover_dir = Path(args.cover_dir)
     paths = sorted(cover_dir.glob("*.pgm"))
     if not paths:
-        return _fail(EXIT_IO, f"no .pgm covers found in {cover_dir}")
-    covers = []
-    for p in paths:
-        cover = load_pgm(p)
-        if min(cover.height, cover.width) < analysis.Q_WINDOW:
-            side = analysis.Q_WINDOW
-            return _fail(EXIT_CAPACITY, f"{p} is {cover.height}x{cover.width}, under {side}x{side}")
-        covers.append((p.name, cover))
+        raise OSError(f"no .pgm covers found in {cover_dir}")
+    for p in paths:  # every cover's header is checked before any raster is read
+        with PgmFile(p) as cover:
+            if min(cover.height, cover.width) < analysis.Q_WINDOW:
+                side = analysis.Q_WINDOW
+                raise analysis.ImageTooSmallError(f"{p} is {cover.height}x{cover.width}, under {side}x{side}")
     payload = load_pgm(args.payload)
-    rows = sweep.run_sweep(covers, payload, methods, rates, mu=args.mu, seed=args.seed)
-    err = _write_file(args.csv, [analysis.emit_csv(rows).encode("ascii")], args.force)
-    if err:
-        return err
+    rows = []
+    for p in paths:  # one cover in memory at a time; ``paths`` is in name order
+        rows += sweep.run_sweep([(p.name, load_pgm(p))], payload, methods, rates, mu=args.mu, seed=args.seed)
+    _write_file(args.csv, [analysis.emit_csv(rows).encode("ascii")], args.force)
     print(f"wrote {len(rows)} rows to {args.csv}\n")
     _print_summary(rows)
-    return EXIT_OK
 
 
 @functools.cache
@@ -337,7 +326,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+    except OutputExistsError as exc:
+        return _fail(EXIT_EXISTS, str(exc))
     except FileNotFoundError as exc:
         return _fail(EXIT_IO, f"cannot read {exc.filename}")
     except OSError as exc:
@@ -350,6 +341,9 @@ def main(argv=None) -> int:
         return _fail(EXIT_STREAM, str(exc))
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
+    except MemoryError as exc:
+        return _fail(EXIT_USAGE, f"out of memory: {exc}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 import csv
 import errno
 import os
+import re
 import shlex
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbpstego import cli, codec, image, synth
+from lbpstego import analysis, cli, codec, image, sweep, synth
 from lbpstego.cli import (
     EXIT_CAPACITY,
     EXIT_EXISTS,
@@ -254,6 +256,10 @@ def test_parser_epilog_documents_exit_codes():
     text = parser.format_help()
     for code in ("3", "4", "5", "6", "7"):
         assert code in text
+    # One "  <code>  meaning" line per EXIT_* constant, and no line for a code without one.
+    codes = sorted(value for name, value in vars(cli).items() if name.startswith("EXIT_"))
+    documented = re.findall(r"^  (\d+)  \S", text.split("exit codes:", 1)[1], re.M)
+    assert sorted(map(int, documented)) == codes
 
 
 class _HalfWriter:
@@ -585,6 +591,37 @@ def test_compare_rejects_covers_under_quality_window(workspace, capsys, shape):
     assert not (tmp / "sweep.csv").exists()
 
 
+def test_compare_holds_one_cover_at_a_time(workspace, monkeypatch):
+    """Each cover is read when its turn comes and dropped before the next one
+    is read, and the CSV is that of one sweep over all covers at once."""
+    tmp, _, _ = workspace
+    covers = tmp / "covers"
+    covers.mkdir()
+    images = synth.corpus(4, (40, 40), seed=2)
+    for i, img in enumerate(images):
+        save_pgm(covers / f"c{i}.pgm", img)
+    loaded, alive_at_load = [], []
+
+    def tracked_load(path):
+        img = load_pgm(path)
+        if Path(path).parent == covers:
+            alive_at_load.append(sum(ref() is not None for ref in loaded))
+            loaded.append(weakref.ref(img))
+        return img
+
+    monkeypatch.setattr(cli, "load_pgm", tracked_load)
+    rc = main([
+        "compare", "--cover-dir", str(covers), "--payload", str(tmp / "payload.pgm"),
+        "--rates", "10,50", "--methods", "proposed,lsbmr", "--mu", "2", "--seed", "3",
+        "--csv", str(tmp / "sweep.csv"),
+    ])
+    assert rc == EXIT_OK
+    assert alive_at_load == [0, 0, 0, 0]
+    named = [(f"c{i}.pgm", img) for i, img in enumerate(images)]
+    rows = sweep.run_sweep(named, load_pgm(tmp / "payload.pgm"), ["proposed", "lsbmr"], [10.0, 50.0], mu=2, seed=3)
+    assert (tmp / "sweep.csv").read_text() == analysis.emit_csv(rows)
+
+
 def test_compare_summary_means_match_csv(workspace, capsys):
     tmp, _, _ = workspace
     covers = tmp / "covers"
@@ -641,6 +678,47 @@ def test_corpus_refuses_existing_target_and_writes_nothing(tmp_path):
     (out / "covers" / "cover03.pgm").unlink()
     assert main(_corpus_args(out)) == EXIT_EXISTS  # cover00..02 still exist
     assert not (out / "covers" / "cover03.pgm").exists()
+
+
+@pytest.mark.parametrize("command", ["embed", "extract", "metrics", "rs", "pdh", "corpus", "compare"])
+def test_every_writing_command_refuses_an_existing_output(workspace, capsys, command):
+    tmp, cover, _ = workspace
+    stego, covers = tmp / "stego.pgm", tmp / "covers"
+    assert main(_embed_args(tmp, stego)) == EXIT_OK
+    covers.mkdir()
+    save_pgm(covers / "a.pgm", cover)
+    target = tmp / "corpus" / "payload.pgm" if command == "corpus" else tmp / "out"
+    target.parent.mkdir(exist_ok=True)
+    target.write_bytes(b"old bytes")
+    argv = {
+        "embed": _embed_args(tmp, target),
+        "extract": ["extract", "--stego", str(stego), "--out", str(target)],
+        "metrics": ["metrics", "--a", str(tmp / "cover.pgm"), "--b", str(stego), "--csv", str(target)],
+        "rs": ["rs", "--image", str(stego), "--csv", str(target)],
+        "pdh": ["pdh", "--image", str(stego), "--csv", str(target)],
+        "corpus": _corpus_args(target.parent),
+        "compare": [
+            "compare", "--cover-dir", str(covers), "--payload", str(tmp / "payload.pgm"),
+            "--methods", "lsb1", "--rates", "10", "--csv", str(target),
+        ],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == EXIT_EXISTS
+    assert capsys.readouterr().err == f"error: {target} exists; pass --force to overwrite\n"
+    assert target.read_bytes() == b"old bytes"
+    assert main(argv + ["--force"]) == EXIT_OK
+    assert target.read_bytes() != b"old bytes"
+
+
+def test_out_of_memory_is_one_line_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    def corpus(*args, **kwargs):
+        raise MemoryError("Unable to allocate 298. GiB for an array")
+
+    monkeypatch.setattr(cli.synth, "corpus", corpus)
+    assert main(_corpus_args(tmp_path / "corpus")) == 2
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 298. GiB for an array\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
