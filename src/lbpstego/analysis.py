@@ -21,13 +21,6 @@ class ImageTooSmallError(ValueError):
     """An image is smaller than the least size a metric is defined for."""
 
 
-def _check_same_size(a: GrayImage, b: GrayImage) -> None:
-    if a.pixels.shape != b.pixels.shape:
-        raise ValueError(
-            f"image sizes differ: {a.height}x{a.width} vs {b.height}x{b.width}"
-        )
-
-
 def mean_squared_error(a: GrayImage | Reference, b: GrayImage) -> float:
     """Mean squared pixel difference, accumulated exactly in integers.
 
@@ -99,10 +92,12 @@ class Reference:
         """Rows ``[lo, hi)`` outside which ``other`` equals this image, (0, 0) if
         it equals it everywhere; the result for the last image asked about is
         kept. Raises ValueError if the sizes differ."""
-        _check_same_size(self.image, other)
+        a = self.image
+        if a.pixels.shape != other.pixels.shape:
+            raise ValueError(f"image sizes differ: {a.height}x{a.width} vs {other.height}x{other.width}")
         last, band = self._last_band
         if last is not other:
-            rows = np.flatnonzero((self.image.pixels != other.pixels).any(axis=1))
+            rows = np.flatnonzero((a.pixels != other.pixels).any(axis=1))
             band = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
             self._last_band = (other, band)
         return band
@@ -338,13 +333,11 @@ def rs_analysis(
     n = int(mask.size)
     if img.width < n:
         raise ImageTooSmallError(f"image width {img.width} is smaller than the group size {n}")
-    if reference is None:
-        counts = [np.count_nonzero(f) for f in _rs_flags(img.pixels, mask)]
-    else:
-        lo, hi = reference.band(img)
-        running = reference.rs_rows(mask)
-        band = [np.count_nonzero(f) for f in _rs_flags(img.pixels[lo:hi], mask)]
-        counts = (running[-1] - running[hi] + running[lo] + band).tolist()
+    ref = Reference(img) if reference is None else reference
+    lo, hi = ref.band(img)
+    running = ref.rs_rows(mask)
+    band = [np.count_nonzero(f) for f in _rs_flags(img.pixels[lo:hi], mask)]
+    counts = (running[-1] - running[hi] + running[lo] + band).tolist()
     groups = img.height * (img.width // n)
     return RsStatistics(*(float(c / groups) for c in counts))
 

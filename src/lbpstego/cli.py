@@ -133,7 +133,7 @@ def cmd_embed(args) -> None:
     params = codec.StegoParams(args.mu)
     stego = codec.embed(cover, payload, params)
     _write_file(args.out, pgm_chunks(stego), args.force)
-    stream = codec.HEADER_BYTES + payload.width * payload.height
+    stream = codec.stream_bytes(payload)
     print(
         f"embedded {payload.width * payload.height} payload bytes "
         f"({stream} stream bytes, {100.0 * stream / codec.capacity(stego, params):.1f}% of capacity)"

@@ -105,8 +105,8 @@ def sync_neighbor(center, cover_value, stego_value, mu: int):
     If writing the low bits flipped the comparison, step the stego value by
     +-2**mu (which cannot disturb its ``mu`` low bits); otherwise return it
     unchanged. Works elementwise in the stego value's dtype: uint8 steps wrap
-    modulo 256, which a carrier clamped by :func:`clamp_cover` never needs,
-    and wider integer steps are exact.
+    modulo 256, which a carrier clipped into ``[2**mu, 255 - 2**mu]``, as
+    embed does, never needs, and wider integer steps are exact.
     """
     dtype = np.result_type(stego_value)
     was_ge = np.greater_equal(center, cover_value)
@@ -168,7 +168,7 @@ def capacity(cover: GrayImage | PgmFile, params: StegoParams) -> int:
 
 def max_payload_bytes(cover: GrayImage | PgmFile, params: StegoParams) -> int:
     """Usable payload bytes once the size header is paid for."""
-    return max(0, capacity(cover, params) - HEADER_BYTES)
+    return payload_budget(capacity(cover, params))
 
 
 def max_payload_shape(cover: GrayImage, params: StegoParams) -> tuple[int, int]:
@@ -204,12 +204,40 @@ def clamp_cover(cover: GrayImage, used_blocks: int, params: StegoParams) -> Gray
     return GrayImage(out)
 
 
-def _frame(payload: GrayImage) -> bytes:
-    return (
-        payload.height.to_bytes(2, "big")
-        + payload.width.to_bytes(2, "big")
-        + payload.pixels.tobytes()
-    )
+def stream_bytes(payload: GrayImage) -> int:
+    """Stream bytes that carry ``payload``: the size header, then its raster."""
+    return HEADER_BYTES + payload.height * payload.width
+
+
+def payload_budget(stream: int) -> int:
+    """Payload bytes that ``stream`` stream bytes hold once the size header is paid for."""
+    return max(0, stream - HEADER_BYTES)
+
+
+def _frame(payload: GrayImage, mu: int, cap: int) -> np.ndarray:
+    """``payload`` as a (blocks, mu) stream: rows and cols (big-endian 16-bit each),
+    raster, zero padding; CapacityError if a side is over 65535 or it needs over ``cap``."""
+    if max(payload.pixels.shape) > MAX_PAYLOAD_SIDE:
+        raise CapacityError(f"payload dimensions exceed {MAX_PAYLOAD_SIDE}")
+    size = stream_bytes(payload)
+    if size > cap:
+        raise CapacityError(f"stream needs {size} bytes, cover holds {cap} at mu={mu}")
+    flat = np.zeros(-(-size // mu) * mu, dtype=np.uint8)
+    flat[:HEADER_BYTES] = np.array(payload.pixels.shape, dtype=">u2").view(np.uint8)
+    flat[HEADER_BYTES:size] = payload.pixels.reshape(-1)
+    return flat.reshape(-1, mu)
+
+
+def _unframe(head: np.ndarray, cap: int) -> tuple[tuple[int, int], int]:
+    """The payload (rows, cols) and stream bytes that the size header in front of
+    ``head`` announces; CorruptStreamError if a side is 0 or it needs over ``cap``."""
+    rows, cols = head[:HEADER_BYTES].view(">u2").tolist()
+    if rows == 0 or cols == 0:
+        raise CorruptStreamError(f"header announces a {rows}x{cols} payload")
+    needed = HEADER_BYTES + rows * cols
+    if needed > cap:
+        raise CorruptStreamError(f"header announces {needed} stream bytes, image holds {cap}")
+    return (rows, cols), needed
 
 
 def embed(
@@ -235,20 +263,9 @@ def embed(
     n_blocks = _n_blocks(height, width)
     if n_blocks == 0:
         raise CoverTooSmallError(f"{height}x{width} cover has no complete 3x3 block")
-    if payload.height > MAX_PAYLOAD_SIDE or payload.width > MAX_PAYLOAD_SIDE:
-        raise CapacityError(f"payload dimensions exceed {MAX_PAYLOAD_SIDE}")
-    stream = _frame(payload)
-    cap = n_blocks * params.mu
-    if len(stream) > cap:
-        raise CapacityError(
-            f"stream needs {len(stream)} bytes, cover holds {cap} at mu={params.mu}"
-        )
-    mu = params.mu
-    used_blocks = -(-len(stream) // mu)
-    padded = stream + b"\x00" * (used_blocks * mu - len(stream))
-    data = np.frombuffer(padded, dtype=np.uint8).reshape(used_blocks, mu)
+    data = _frame(payload, params.mu, n_blocks * params.mu)
 
-    for start, stop, tiles in _slabs(out, used_blocks):
+    for start, stop, tiles in _slabs(out, len(data)):
         _embed_slab(tiles, data[start:stop], params)
     return _adopt(out)
 
@@ -299,9 +316,11 @@ def _decode_stream(pixels: np.ndarray, n: int, mu: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _block_rows(n: int, width: int) -> int:
-    """Pixel rows that hold the first ``n`` blocks of a ``width``-wide image."""
-    return 3 * -(-n // (width // 3))
+def _read_stream(stego: GrayImage | PgmFile, size: int, mu: int) -> np.ndarray:
+    """The stream bytes carried by the blocks that hold its first ``size``
+    bytes, decoded from only the pixel rows of ``stego`` that hold them."""
+    n = -(-size // mu)
+    return _decode_stream(stego.rows(3 * -(-n // (stego.width // 3))), n, mu)
 
 
 def extract(stego: GrayImage | PgmFile, params: StegoParams) -> GrayImage:
@@ -311,23 +330,11 @@ def extract(stego: GrayImage | PgmFile, params: StegoParams) -> GrayImage:
     stream, are taken from ``stego``; from an open :class:`PgmFile` the rows
     below them are never read.
     """
-    mu = params.mu
     cap = capacity(stego, params)
-    if cap < HEADER_BYTES:  # also spares _block_rows an image with no block column
+    if cap < HEADER_BYTES:  # also spares _read_stream an image with no block column
         raise CorruptStreamError(
             f"image holds only {cap} stream bytes, no room for a size header"
         )
-    header_blocks = -(-HEADER_BYTES // mu)
-    head_rows = stego.rows(_block_rows(header_blocks, stego.width))
-    head = _decode_stream(head_rows, header_blocks, mu)[:HEADER_BYTES]
-    rows = int(head[0]) << 8 | int(head[1])
-    cols = int(head[2]) << 8 | int(head[3])
-    if rows == 0 or cols == 0:
-        raise CorruptStreamError(f"header announces a {rows}x{cols} payload")
-    needed = HEADER_BYTES + rows * cols
-    if needed > cap:
-        raise CorruptStreamError(f"header announces {needed} stream bytes, image holds {cap}")
-    used_blocks = -(-needed // mu)
-    stream_rows = stego.rows(_block_rows(used_blocks, stego.width))
-    stream = _decode_stream(stream_rows, used_blocks, mu)
-    return _adopt(stream[HEADER_BYTES:needed].reshape(rows, cols))
+    shape, needed = _unframe(_read_stream(stego, HEADER_BYTES, params.mu), cap)
+    stream = _read_stream(stego, needed, params.mu)
+    return _adopt(stream[HEADER_BYTES:needed].reshape(shape))

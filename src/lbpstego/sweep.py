@@ -48,8 +48,8 @@ def crop_payload_to_rate(
     if not 0.0 < rate <= 100.0:
         raise ValueError(f"rate must be in (0, 100], got {rate}")
     cap = codec.capacity(cover, params)
-    target_body = int(cap * rate / 100.0) - codec.HEADER_BYTES
-    rows = min(payload.height, max(1, target_body // payload.width))
+    body = codec.payload_budget(int(cap * rate / 100.0))
+    rows = min(payload.height, max(1, body // payload.width))
     return GrayImage(payload.pixels[:rows, :])
 
 
@@ -81,7 +81,7 @@ def embed_at_rate(
         params = codec.StegoParams(mu)
         cropped = crop_payload_to_rate(payload, cover, params, rate)
         stego = codec.embed(cover, cropped, params)
-        return stego, 8 * (codec.HEADER_BYTES + cropped.width * cropped.height)
+        return stego, 8 * codec.stream_bytes(cropped)
     base = replace(METHODS[method], seed=seed)
     n_bits = int(base.capacity_bits(cover) * rate / 100.0)
     bits = payload_bits(payload, n_bits)

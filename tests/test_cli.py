@@ -84,6 +84,38 @@ def test_capacity_exceeded_maps_to_exit_5(tmp_path):
     assert rc == EXIT_CAPACITY
 
 
+@pytest.mark.parametrize(
+    "command, image_shape, fill, payload_shape, code, message",
+    [
+        ("embed", (2, 5), 0, (2, 2), EXIT_CAPACITY, "2x5 cover has no complete 3x3 block"),
+        ("embed", (9, 9), 0, (1, 65536), EXIT_CAPACITY, "payload dimensions exceed 65535"),
+        ("embed", (9, 9), 0, (20, 20), EXIT_CAPACITY, "stream needs 404 bytes, cover holds 9 at mu=1"),
+        ("extract", (3, 9), 0, None, EXIT_STREAM,
+         "image holds only 3 stream bytes, no room for a size header"),
+        # flat 1s decode to header bytes 0x00, flat 0s to 0xFF
+        ("extract", (30, 30), 1, None, EXIT_STREAM, "header announces a 0x0 payload"),
+        ("extract", (30, 30), 0, None, EXIT_STREAM,
+         "header announces 4294836229 stream bytes, image holds 100"),
+    ],
+    ids=["no-block", "payload-side", "over-capacity", "no-header-room", "zero-side", "header-overrun"],
+)
+def test_each_frame_error_has_its_exit_code_and_line(
+    tmp_path, capsys, command, image_shape, fill, payload_shape, code, message
+):
+    """Every check on the stream's size header, in the order the codec makes
+    them: the first that fails names the exit code and the one error line."""
+    image_path, out = tmp_path / "image.pgm", tmp_path / "out.pgm"
+    save_pgm(image_path, GrayImage(np.full(image_shape, fill, dtype=np.uint8)))
+    if command == "embed":
+        save_pgm(tmp_path / "p.pgm", GrayImage(np.zeros(payload_shape, dtype=np.uint8)))
+        argv = ["embed", "--cover", str(image_path), "--payload", str(tmp_path / "p.pgm")]
+    else:
+        argv = ["extract", "--stego", str(image_path)]
+    assert main([*argv, "--out", str(out), "--mu", "1"]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_unreadable_file_maps_to_exit_3(tmp_path):
     rc = main(["capacity", "--cover", str(tmp_path / "missing.pgm"), "--mu", "1"])
     assert rc == EXIT_IO

@@ -18,7 +18,6 @@ from lbpstego.codec import (
     embed,
     extract,
     _decode_stream,
-    _frame,
 )
 from lbpstego.image import GrayImage
 from lbpstego.lbp import NEIGHBOR_OFFSETS
@@ -108,7 +107,8 @@ def test_vectorized_embed_matches_block_reference(case):
     if payload is None:
         return
     params = StegoParams(mu)
-    stream = _frame(payload)
+    # the size header (rows, cols; big-endian 16-bit), then the raster
+    stream = payload.height.to_bytes(2, "big") + payload.width.to_bytes(2, "big") + payload.pixels.tobytes()
     used = -(-len(stream) // mu)
     stream += b"\x00" * (used * mu - len(stream))
     clamped = clamp_cover(cover, used, params)
