@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
-import stat
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -13,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, codec, sweep, synth
-from .image import GrayImage, PgmError, PgmFile, load_pgm, load_raster, pgm_chunks, write_pgm
+from .image import GrayImage, PgmError, PgmFile, load_pgm, load_raster, pgm_chunks, save_chunks, write_pgm
 
 EXIT_OK = 0
 EXIT_USAGE = 2  # argparse's own code for bad flags
@@ -54,42 +52,12 @@ def _refuse_existing(paths, force: bool) -> None:
             raise OutputExistsError(path)
 
 
-def _write_file(path, chunks, force: bool) -> None:
-    """Write the bytes-like ``chunks`` in turn beside ``path`` and rename the
-    result over ``path``, so a failed or interrupted write never leaves a
-    partial file behind."""
-    target = Path(path)
-    try:
-        st = os.lstat(target)
-        if stat.S_ISLNK(st.st_mode):  # write through a symlink, as a plain write does
-            target = target.resolve()
-            st = os.stat(target)
-    except (FileNotFoundError, NotADirectoryError):  # a new file, or a dangling link's target
-        st = None
-    if st is not None and not force:
-        raise OutputExistsError(path)
-    tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
-    try:
-        f = open(tmp, "xb")  # a new file gets the mode a plain write gives
-    except FileNotFoundError:
-        raise OSError(f"cannot write {path}: no such directory") from None
-    try:
-        with f:
-            for chunk in chunks:
-                f.write(chunk)
-            if st is not None:  # an overwrite keeps the target's mode
-                os.fchmod(f.fileno(), stat.S_IMODE(st.st_mode))
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _write_metrics(args, image: str, method: str, values: dict) -> None:
     """Write one image's ``values`` as CSV rows to ``--csv``, if given."""
     if args.csv is not None:
         rows = analysis.metric_rows(Path(image).name, method, "", values)
-        _write_file(args.csv, [analysis.emit_csv(rows).encode("ascii")], args.force)
+        _refuse_existing([args.csv], args.force)
+        save_chunks(args.csv, [analysis.emit_csv(rows).encode("ascii")])
 
 
 def _reject_duplicates(kind: str, values: list) -> None:
@@ -132,7 +100,8 @@ def cmd_embed(args) -> None:
     payload = load_pgm(args.payload)
     params = codec.StegoParams(args.mu)
     stego = codec.embed(cover, payload, params)
-    _write_file(args.out, pgm_chunks(stego), args.force)
+    _refuse_existing([args.out], args.force)
+    save_chunks(args.out, pgm_chunks(stego))
     stream = codec.stream_bytes(payload)
     print(
         f"embedded {payload.width * payload.height} payload bytes "
@@ -143,7 +112,8 @@ def cmd_embed(args) -> None:
 def cmd_extract(args) -> None:
     with PgmFile(args.stego) as stego:  # extract reads only the rows its stream occupies
         payload = codec.extract(stego, codec.StegoParams(args.mu))
-    _write_file(args.out, [write_pgm(payload)], args.force)
+    _refuse_existing([args.out], args.force)
+    save_chunks(args.out, [write_pgm(payload)])
     print(f"extracted {payload.height}x{payload.width} payload")
 
 
@@ -200,7 +170,7 @@ def cmd_corpus(args) -> None:
     images.append(GrayImage(rng.integers(0, 256, (half, half), dtype=np.uint8)))
     covers.mkdir(parents=True, exist_ok=True)
     for path, img in zip(paths, images):
-        _write_file(path, [write_pgm(img)], args.force)
+        save_chunks(path, [write_pgm(img)])
     print(f"wrote {args.count} covers to {covers} and {paths[-1]}")
 
 
@@ -235,7 +205,8 @@ def cmd_compare(args) -> None:
     rows = []
     for p in paths:  # one cover in memory at a time; ``paths`` is in name order
         rows += sweep.run_sweep([(p.name, load_pgm(p))], payload, methods, rates, mu=args.mu, seed=args.seed)
-    _write_file(args.csv, [analysis.emit_csv(rows).encode("ascii")], args.force)
+    _refuse_existing([args.csv], args.force)
+    save_chunks(args.csv, [analysis.emit_csv(rows).encode("ascii")])
     print(f"wrote {len(rows)} rows to {args.csv}\n")
     _print_summary(rows)
 

@@ -7,6 +7,7 @@ import os
 import re
 import stat
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -256,6 +257,41 @@ def load_raster(path) -> np.ndarray:
         return f._read(f.height)
 
 
+def save_chunks(path, chunks) -> None:
+    """Write the bytes-like ``chunks`` in turn beside ``path`` and rename the
+    result over ``path``, so a failed write leaves no partial file. A symlink
+    is written through (a dangling one creates its target); an existing target
+    must be a regular file and keeps its mode. Failures raise ``OSError``
+    ``cannot write <path>: <reason>``."""
+    target = Path(path)
+    try:
+        try:
+            st = os.lstat(target)
+            if stat.S_ISLNK(st.st_mode):  # write through a symlink, as a plain write does
+                target = Path(os.path.realpath(target))
+                st = os.stat(target)  # a symlink loop raises here
+        except (FileNotFoundError, NotADirectoryError):  # a new file, or a dangling link's target
+            st = None
+        if st is not None and not stat.S_ISREG(st.st_mode):  # never rename over a FIFO, device or directory
+            raise OSError("not a regular file")
+        tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+        f = open(tmp, "xb")  # a new file gets the mode a plain write gives
+        try:
+            with f:
+                for chunk in chunks:
+                    f.write(chunk)
+                if st is not None:  # an overwrite keeps the target's mode
+                    os.fchmod(f.fileno(), stat.S_IMODE(st.st_mode))
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except FileNotFoundError:
+        raise OSError(f"cannot write {path}: no such directory") from None
+    except OSError as exc:  # the reason alone: the temp file's name means nothing to the caller
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def save_pgm(path, img: GrayImage) -> None:
-    with open(path, "wb") as f:
-        f.writelines(pgm_chunks(img))
+    """Write ``img``'s canonical ``P5`` bytes to ``path`` with :func:`save_chunks`."""
+    save_chunks(path, pgm_chunks(img))

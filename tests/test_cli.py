@@ -3,6 +3,7 @@ import errno
 import os
 import re
 import shlex
+import stat
 import tempfile
 import weakref
 from pathlib import Path
@@ -313,6 +314,16 @@ class _HalfWriter:
         raise OSError(errno.ENOSPC, "No space left on device")
 
 
+def _patch_writes(monkeypatch, writer):
+    """Open ``image``'s write-mode files, every output, as ``writer``; reads
+    (the cover, through ``PgmFile``) go to the real ``open``."""
+
+    def patched_open(path, mode="r", *args, **kwargs):
+        return open(path, mode, *args, **kwargs) if "r" in mode else writer(path, mode)
+
+    monkeypatch.setattr(image, "open", patched_open, raising=False)
+
+
 def _embed_args(tmp, out, *extra):
     return [
         "embed", "--cover", str(tmp / "cover.pgm"), "--payload", str(tmp / "payload.pgm"),
@@ -327,7 +338,7 @@ def test_interrupted_write_leaves_no_partial_file(workspace, monkeypatch, existi
     if existing:
         out.write_bytes(b"old stego bytes")
     before = sorted(p.name for p in tmp.iterdir())
-    monkeypatch.setattr(cli, "open", _HalfWriter, raising=False)
+    _patch_writes(monkeypatch, _HalfWriter)
     rc = main(_embed_args(tmp, out, *(["--force"] if existing else [])))
     assert rc == EXIT_IO
     if existing:
@@ -356,7 +367,7 @@ def test_write_failing_on_the_raster_leaves_no_partial_file(workspace, monkeypat
             self.f.write(data)
             self.f.flush()
 
-    monkeypatch.setattr(cli, "open", RasterFails, raising=False)
+    _patch_writes(monkeypatch, RasterFails)
     rc = main(_embed_args(tmp, out, *(["--force"] if existing else [])))
     assert rc == EXIT_IO
     assert on_disk == [len(b"P5\n96 96\n255\n")]
@@ -564,6 +575,55 @@ def test_written_files_get_plain_write_modes(workspace):
     out.chmod(0o600)  # overwriting keeps the existing file's mode
     assert main(_embed_args(tmp, out, "--force")) == EXIT_OK
     assert out.stat().st_mode & 0o777 == 0o600
+
+
+@pytest.mark.parametrize("kind", ["fifo", "directory"])
+def test_force_never_replaces_what_is_not_a_regular_file(workspace, capsys, kind):
+    tmp, _, _ = workspace
+    out = tmp / "out"
+    if kind == "fifo":
+        os.mkfifo(out)
+    else:
+        out.mkdir()
+    before = sorted(p.name for p in tmp.iterdir())
+    assert main(_embed_args(tmp, out, "--force")) == EXIT_IO
+    assert capsys.readouterr().err == f"error: cannot write {out}: not a regular file\n"
+    assert stat.S_ISFIFO(out.stat().st_mode) if kind == "fifo" else out.is_dir()
+    assert sorted(p.name for p in tmp.iterdir()) == before  # no temp file made
+
+
+@pytest.mark.parametrize("extra", [[], ["--force"]])
+def test_embed_to_a_symlink_loop_names_the_output(workspace, capsys, extra):
+    tmp, _, _ = workspace
+    a, b = tmp / "a", tmp / "b"
+    a.symlink_to(b)
+    b.symlink_to(a)
+    assert main(_embed_args(tmp, a, *extra)) == EXIT_IO
+    assert capsys.readouterr().err == f"error: cannot write {a}: {os.strerror(errno.ELOOP)}\n"
+
+
+def test_compare_csv_to_a_symlink_loop_names_the_output(workspace, capsys):
+    tmp, _, _ = workspace
+    covers = tmp / "covers"
+    covers.mkdir()
+    save_pgm(covers / "c.pgm", synth.smooth_cover((32, 32), seed=1))
+    a, b = tmp / "a", tmp / "b"
+    a.symlink_to(b)
+    b.symlink_to(a)
+    rc = main([
+        "compare", "--cover-dir", str(covers), "--payload", str(tmp / "payload.pgm"),
+        "--rates", "10", "--methods", "lsb1", "--csv", str(a), "--force",
+    ])
+    assert rc == EXIT_IO
+    assert capsys.readouterr().err == f"error: cannot write {a}: {os.strerror(errno.ELOOP)}\n"
+
+
+def test_write_errors_name_the_output_not_the_temp_file(workspace, capsys):
+    tmp, _, _ = workspace
+    (tmp / "afile").write_bytes(b"")
+    out = tmp / "afile" / "x.pgm"
+    assert main(_embed_args(tmp, out)) == EXIT_IO
+    assert capsys.readouterr().err == f"error: cannot write {out}: {os.strerror(errno.ENOTDIR)}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import ast
+import errno
 import io
 import os
 import tempfile
@@ -153,6 +155,23 @@ class TestWritePgm:
         img = GrayImage(np.arange(12, dtype=np.uint8).reshape(3, 4))
         save_pgm(tmp_path / "a.pgm", img)
         assert (tmp_path / "a.pgm").read_bytes() == write_pgm(img)
+
+    def test_save_pgm_failing_after_its_first_chunk_keeps_the_old_file(self, tmp_path, monkeypatch):
+        img = GrayImage(np.arange(12, dtype=np.uint8).reshape(3, 4))
+        path = tmp_path / "a.pgm"
+        path.write_bytes(b"old bytes")
+
+        header, _ = pgm_chunks(img)
+
+        def header_then_fail(img):
+            yield header
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(image, "pgm_chunks", header_then_fail)
+        with pytest.raises(OSError):
+            save_pgm(path, img)
+        assert path.read_bytes() == b"old bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.pgm"]  # no .*.tmp file
 
 
 class TestLoadPgm:
@@ -445,3 +464,32 @@ def test_load_pgm_of_a_pipe_is_read_pgm_of_its_bytes(data):
                 _assert_same_outcome(_outcome(load_pgm, f"/dev/fd/{r}"), expect)
         finally:
             os.close(r)
+
+
+def _file_writes(tree):
+    """Line numbers of the calls in ``tree`` that write files: ``open`` with a
+    ``w``, ``x`` or ``a`` mode (or a mode not spelled out), ``os.replace`` and
+    ``os.fchmod``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+            if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wxa"):
+                yield node.lineno
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and (
+            func.value.id == "os" and name in ("replace", "fchmod")
+        ):
+            yield node.lineno
+
+
+def test_only_image_writes_files():
+    """``image.save_chunks`` is the package's one file writer: no other module
+    opens a file to write, renames one into place or sets a mode."""
+    src = Path(image.__file__).parent
+    writes = {p.name: list(_file_writes(ast.parse(p.read_text()))) for p in sorted(src.glob("*.py"))}
+    assert writes["image.py"]  # the pin finds the writer it guards
+    assert {name: lines for name, lines in writes.items() if lines and name != "image.py"} == {}
