@@ -5,7 +5,7 @@ deterministic CSV emitter for plotting."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,22 +21,15 @@ class ImageTooSmallError(ValueError):
     """An image is smaller than the least size a metric is defined for."""
 
 
-def mean_squared_error(a: GrayImage | Reference, b: GrayImage) -> float:
-    """Mean squared pixel difference, accumulated exactly in integers.
-
-    ``a`` may be a :class:`Reference`, whose int32 pixels and changed-row
-    band for ``b`` are then reused.
-    """
+def psnr(a: GrayImage | Reference, b: GrayImage) -> float:
+    """10*log10(255^2 / MSE) in decibels, the mean squared pixel difference
+    summed exactly in integers; identical images give ``math.inf``. ``a`` may be
+    a :class:`Reference`, whose int32 pixels and band for ``b`` are then reused."""
     ref = Reference.of(a)
     lo, hi = ref.band(b)
     diff = np.subtract(ref.pixels32[lo:hi], b.pixels[lo:hi])
     diff *= diff
-    return int(diff.sum(dtype=np.int64)) / b.pixels.size
-
-
-def psnr(a: GrayImage | Reference, b: GrayImage) -> float:
-    """10*log10(255^2 / MSE) in decibels; identical images give ``math.inf``."""
-    mse = mean_squared_error(a, b)
+    mse = int(diff.sum(dtype=np.int64)) / b.pixels.size
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(255.0**2 / mse)
@@ -81,7 +74,7 @@ class Reference:
 
     def __init__(self, image: GrayImage):
         self.image = image
-        self._last_band: tuple[GrayImage | None, tuple[int, int]] = (None, (0, 0))
+        self._last_band = (image, (0, 0))  # an image equals itself everywhere
         self._rs_rows: dict[tuple, np.ndarray] = {}
 
     @classmethod
@@ -274,8 +267,10 @@ class RsStatistics:
         return abs(self.r_neg_m - self.s_neg_m)
 
     def metrics(self) -> dict[str, float]:
-        """The four fractions as CSV metrics, each named ``rs_`` plus its field."""
-        return {f"rs_{f.name}": getattr(self, f.name) for f in fields(self)}
+        """The four fractions, then the two differences, as CSV metrics, each
+        named ``rs_`` plus its attribute."""
+        names = ("r_m", "s_m", "r_neg_m", "s_neg_m", "diff_m", "diff_neg_m")
+        return {f"rs_{name}": getattr(self, name) for name in names}
 
 
 # F1(x) = x ^ 1 and F-1(x) = F1(x + 1) - 1 (Fridrich, Goljan & Du 2001),

@@ -46,9 +46,9 @@ def _fail(code: int, message: str) -> int:
 
 
 def _refuse_existing(paths, force: bool) -> None:
-    """Raise OutputExistsError if any of ``paths`` exists and ``force`` is off."""
+    """Raise OutputExistsError if a path in ``paths``, None aside, exists and ``force`` is off."""
     for path in paths:
-        if not force and Path(path).exists():
+        if not force and path is not None and Path(path).exists():
             raise OutputExistsError(path)
 
 
@@ -56,7 +56,6 @@ def _write_metrics(args, image: str, method: str, values: dict) -> None:
     """Write one image's ``values`` as CSV rows to ``--csv``, if given."""
     if args.csv is not None:
         rows = analysis.metric_rows(Path(image).name, method, "", values)
-        _refuse_existing([args.csv], args.force)
         save_chunks(args.csv, [analysis.emit_csv(rows).encode("ascii")])
 
 
@@ -96,11 +95,11 @@ def _parse_methods(text: str) -> list[str]:
 
 
 def cmd_embed(args) -> None:
+    _refuse_existing([args.out], args.force)
     cover = load_raster(args.cover)  # not needed again: the stego is written into it
     payload = load_pgm(args.payload)
     params = codec.StegoParams(args.mu)
     stego = codec.embed(cover, payload, params)
-    _refuse_existing([args.out], args.force)
     save_chunks(args.out, pgm_chunks(stego))
     stream = codec.stream_bytes(payload)
     print(
@@ -110,9 +109,9 @@ def cmd_embed(args) -> None:
 
 
 def cmd_extract(args) -> None:
+    _refuse_existing([args.out], args.force)
     with PgmFile(args.stego) as stego:  # extract reads only the rows its stream occupies
         payload = codec.extract(stego, codec.StegoParams(args.mu))
-    _refuse_existing([args.out], args.force)
     save_chunks(args.out, [write_pgm(payload)])
     print(f"extracted {payload.height}x{payload.width} payload")
 
@@ -126,7 +125,8 @@ def cmd_capacity(args) -> None:
 
 
 def cmd_metrics(args) -> None:
-    a = load_pgm(args.a)
+    _refuse_existing([args.csv], args.force)
+    a = analysis.Reference(load_pgm(args.a))  # one band scan and int32 copy for all three metrics
     b = load_pgm(args.b)
     values = {
         "psnr": analysis.psnr(a, b),
@@ -141,13 +141,15 @@ def cmd_metrics(args) -> None:
 
 def cmd_rs(args) -> None:
     mask = _parse_mask(args.mask)
-    rs = analysis.rs_analysis(load_pgm(args.image), mask)
-    for label in ("r_m", "s_m", "r_neg_m", "s_neg_m", "diff_m", "diff_neg_m"):
-        print(f"{label}: {getattr(rs, label):.6f}")
-    _write_metrics(args, args.image, "rs", rs.metrics())
+    _refuse_existing([args.csv], args.force)
+    values = analysis.rs_analysis(load_pgm(args.image), mask).metrics()
+    for name, value in values.items():
+        print(f"{name.removeprefix('rs_')}: {value:.6f}")
+    _write_metrics(args, args.image, "rs", values)
 
 
 def cmd_pdh(args) -> None:
+    _refuse_existing([args.csv], args.force)
     img = load_pgm(args.image)
     hist = analysis.pd_histogram(img)
     print(f"pairs: {hist.total}")
@@ -192,6 +194,7 @@ def _print_summary(rows) -> None:
 
 def cmd_compare(args) -> None:
     methods, rates = _parse_methods(args.methods), _parse_rates(args.rates)
+    _refuse_existing([args.csv], args.force)
     cover_dir = Path(args.cover_dir)
     paths = sorted(cover_dir.glob("*.pgm"))
     if not paths:
@@ -205,7 +208,6 @@ def cmd_compare(args) -> None:
     rows = []
     for p in paths:  # one cover in memory at a time; ``paths`` is in name order
         rows += sweep.run_sweep([(p.name, load_pgm(p))], payload, methods, rates, mu=args.mu, seed=args.seed)
-    _refuse_existing([args.csv], args.force)
     save_chunks(args.csv, [analysis.emit_csv(rows).encode("ascii")])
     print(f"wrote {len(rows)} rows to {args.csv}\n")
     _print_summary(rows)
@@ -254,7 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rs", help="RS analysis of one image")
     p.add_argument("--image", required=True, help="PGM file to analyze")
-    p.add_argument("--mask", default="0110", help="flip mask, e.g. 0110 or 0,-1,-1,0")
+    p.add_argument(
+        "--mask", default="".join(map(str, analysis.DEFAULT_RS_MASK)), help="flip mask, e.g. 0110 or 0,-1,-1,0"
+    )
     p.add_argument("--csv", help="also write rows to this CSV file")
     add_force(p)
     p.set_defaults(func=cmd_rs)

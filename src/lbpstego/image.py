@@ -182,8 +182,8 @@ class PgmFile:
     checks that the file is long enough for the raster it announces, so
     ``height`` and ``width`` are known before any pixel is read. Each
     :meth:`rows` call reads its rows from the raster start; the reader keeps
-    none. A pipe or device reports no size, so one is read whole at open and
-    then read like a file.
+    none. A pipe or device reports no size, so one is read at open up to the
+    end of the raster its header announces, and then read like a file.
     """
 
     def __init__(self, path):
@@ -196,12 +196,7 @@ class PgmFile:
 
     def _open(self) -> None:
         st = os.fstat(self._file.fileno())
-        size = st.st_size
-        if not stat.S_ISREG(st.st_mode):  # a pipe reports no size: read it whole
-            data = self._file.read()
-            self._file.close()
-            self._file, size = io.BytesIO(data), len(data)
-        f = self._file
+        f, size = self._file, st.st_size
         head = f.read(_HEAD_READ)
         while True:
             try:
@@ -212,6 +207,12 @@ class PgmFile:
                 if not more:  # the error is the whole file's, or its first _MAX_HEADER bytes'
                     raise
                 head += more
+        if not stat.S_ISREG(st.st_mode):  # a pipe reports no size: read it to the raster's end
+            data, need = bytearray(head), self._offset + self.width * self.height
+            while len(data) < need and (more := f.read(min(need - len(data), _MAX_HEADER))):
+                data += more  # a read may return fewer bytes than asked
+            f.close()
+            self._file, size = io.BytesIO(data), len(data)
         _check_raster(size - self._offset, self.height, self.width)
 
     def _read(self, stop: int) -> np.ndarray:

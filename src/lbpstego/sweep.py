@@ -3,7 +3,7 @@
 One sweep produces CSV-ready :class:`~lbpstego.analysis.MetricRow` records,
 one per (image, method, rate, metric), covering distortion (PSNR, quality
 index), payload (bit rate, embedded bits) and detectability (histogram L1,
-RS fractions, pixel-difference-histogram correlation).
+RS fractions and differences, pixel-difference-histogram correlation).
 """
 
 from __future__ import annotations
@@ -110,8 +110,6 @@ def metric_rows(
         "embedded_bits": embedded_bits,
         "hist_l1": analysis.histogram_l1(ref, stego),
         **rs.metrics(),
-        "rs_diff_m": rs.diff_m,
-        "rs_diff_neg_m": rs.diff_neg_m,
         "pdh_corr": pdh_correlation(ref, stego),
     }
     return analysis.metric_rows(name, method, rate, values)

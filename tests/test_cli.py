@@ -840,3 +840,34 @@ def test_readme_commands_parse():
     assert {shlex.split(c)[1] for c in commands} >= {"embed", "extract", "corpus", "compare"}
     for command in commands:
         build_parser().parse_args(shlex.split(command)[1:])
+
+
+def test_compare_refuses_an_existing_csv_before_the_sweep(workspace, capsys, monkeypatch):
+    tmp, cover, _ = workspace
+    covers, out = tmp / "covers", tmp / "sweep.csv"
+    covers.mkdir()
+    save_pgm(covers / "a.pgm", cover)
+    out.write_bytes(b"old rows")
+
+    def run_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the existing --csv was refused")
+
+    monkeypatch.setattr(cli.sweep, "run_sweep", run_sweep)
+    rc = main([
+        "compare", "--cover-dir", str(covers), "--payload", str(tmp / "payload.pgm"), "--csv", str(out),
+    ])
+    assert rc == EXIT_EXISTS
+    assert capsys.readouterr().err == f"error: {out} exists; pass --force to overwrite\n"
+    assert out.read_bytes() == b"old rows"
+
+
+def test_an_existing_output_is_refused_before_any_input_is_read(workspace, capsys):
+    """Exit 7 wins over a missing input: nothing is read for an output that
+    will not be written."""
+    tmp, _, _ = workspace
+    out = tmp / "stego.pgm"
+    out.write_bytes(b"old stego bytes")
+    (tmp / "cover.pgm").unlink()
+    assert main(_embed_args(tmp, out)) == EXIT_EXISTS
+    assert capsys.readouterr().err == f"error: {out} exists; pass --force to overwrite\n"
+    assert out.read_bytes() == b"old stego bytes"

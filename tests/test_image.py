@@ -320,6 +320,19 @@ class TestPgmFile:
         finally:
             os.close(r)
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_read_only_to_the_end_of_its_raster(self):
+        """Bytes after the raster a pipe's header announces stay unread on it."""
+        r, w = os.pipe()
+        small, junk = GrayImage(self.IMG.pixels[:8, :64]), b"junk after the raster"
+        try:
+            os.write(w, write_pgm(small) + junk)  # 0.5 KB, past the first header read
+            os.close(w)
+            assert load_pgm(f"/dev/fd/{r}") == small
+            assert os.read(r, 1024) == junk
+        finally:
+            os.close(r)
+
 
 class TestHeaderLimit:
     IMG = GrayImage(np.arange(12, dtype=np.uint8).reshape(3, 4))
