@@ -21,6 +21,10 @@ class ImageTooSmallError(ValueError):
     """An image is smaller than the least size a metric is defined for."""
 
 
+def fits_window(height: int, width: int) -> bool:
+    return min(height, width) >= Q_WINDOW
+
+
 def psnr(a: GrayImage | Reference, b: GrayImage) -> float:
     """10*log10(255^2 / MSE) in decibels, the mean squared pixel difference
     summed exactly in integers; identical images give ``math.inf``. ``a`` may be
@@ -103,7 +107,7 @@ class Reference:
     def window_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(sa, n * saa - sa * sa, sa * sa) over every 8x8 window, in int32:
         sa and saa sum the pixels and their squares, and n = 64."""
-        if self.image.height < Q_WINDOW or self.image.width < Q_WINDOW:
+        if not fits_window(self.image.height, self.image.width):
             raise ImageTooSmallError(f"images must be at least {Q_WINDOW}x{Q_WINDOW}")
         pa = self.pixels32
         sa, saa = _window_sums(pa), _window_sums(pa * pa)
@@ -308,6 +312,14 @@ def _rs_flags(pixels: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
     return flags
 
 
+def rs_mask(mask) -> np.ndarray:
+    """``mask`` as int64, if it is >= 2 entries from {-1, 0, 1}; ValueError otherwise."""
+    out = np.asarray(mask, dtype=np.int64)
+    if out.size < 2 or np.abs(out).max() > 1:
+        raise ValueError(f"mask must be >=2 entries from {{-1,0,1}}, got {out.tolist()}")
+    return out
+
+
 def rs_analysis(
     img: GrayImage, mask=DEFAULT_RS_MASK, *, reference: Reference | None = None
 ) -> RsStatistics:
@@ -320,11 +332,7 @@ def rs_analysis(
     With a :class:`Reference` of the same size, only the rows of ``img``
     that differ from it are grouped; the fractions are the same.
     """
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size < 2:
-        raise ValueError("mask needs at least 2 entries")
-    if np.abs(mask).max() > 1:
-        raise ValueError("mask entries must be -1, 0, or 1")
+    mask = rs_mask(mask)
     n = int(mask.size)
     if img.width < n:
         raise ImageTooSmallError(f"image width {img.width} is smaller than the group size {n}")
@@ -356,14 +364,15 @@ def metric_rows(image: str, method: str, rate: float | str, values: dict) -> lis
 CSV_HEADER = "image,method,rate,metric,value"
 
 
-def _csv_value(v) -> str:
+def csv_field(v) -> str:
+    """``v`` as one field of :func:`emit_csv`; ValueError if it would need quoting."""
     if isinstance(v, str):
         out = v
     elif isinstance(v, (int, np.integer)):
         out = str(int(v))
     else:
         out = format(float(v), ".10g")  # spells out inf, -inf and nan
-    if "," in out or "\n" in out or '"' in out:
+    if any(ch in out for ch in ',"\n\r'):
         raise ValueError(f"CSV field {out!r} needs quoting, which this emitter avoids")
     return out
 
@@ -373,7 +382,7 @@ def emit_csv(rows) -> str:
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(
-            f"{_csv_value(r.image)},{_csv_value(r.method)},"
-            f"{_csv_value(r.rate)},{_csv_value(r.metric)},{_csv_value(r.value)}"
+            f"{csv_field(r.image)},{csv_field(r.method)},"
+            f"{csv_field(r.rate)},{csv_field(r.metric)},{csv_field(r.value)}"
         )
     return "\n".join(lines) + "\n"

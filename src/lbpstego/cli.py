@@ -52,6 +52,13 @@ def _refuse_existing(paths, force: bool) -> None:
             raise OutputExistsError(path)
 
 
+def _refuse_outputs(args, image: str) -> None:
+    """Refuse an existing ``--csv``, and an ``image`` name no CSV field can hold, before any input is read."""
+    _refuse_existing([args.csv], args.force)
+    if args.csv is not None:
+        analysis.csv_field(Path(image).name)
+
+
 def _write_metrics(args, image: str, method: str, values: dict) -> None:
     """Write one image's ``values`` as CSV rows to ``--csv``, if given."""
     if args.csv is not None:
@@ -59,39 +66,19 @@ def _write_metrics(args, image: str, method: str, values: dict) -> None:
         save_chunks(args.csv, [analysis.emit_csv(rows).encode("ascii")])
 
 
-def _reject_duplicates(kind: str, values: list) -> None:
+def _parse_list(kind: str, text: str, parse) -> list:
+    values = [parse(tok.strip()) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"no {kind}s given")
     for i, v in enumerate(values):
         if v in values[:i]:
             raise ValueError(f"duplicate {kind} {v!r}; each may be given once")
+    return values
 
 
-def _parse_rates(text: str) -> list[float]:
-    rates = [float(tok) for tok in text.split(",") if tok.strip()]
-    if not rates or any(not 0.0 < r <= 100.0 for r in rates):
-        raise ValueError(f"rates must lie in (0, 100], got {text!r}")
-    _reject_duplicates("rate", rates)
-    return rates
-
-
-def _parse_mask(text: str) -> list[int]:
-    if "," in text:
-        entries = [int(tok) for tok in text.split(",") if tok.strip()]
-    else:
-        entries = [int(ch) for ch in text]
-    if len(entries) < 2 or any(e not in (-1, 0, 1) for e in entries):
-        raise ValueError(f"mask must be >=2 entries from {{-1,0,1}}, got {text!r}")
-    return entries
-
-
-def _parse_methods(text: str) -> list[str]:
-    methods = [tok.strip() for tok in text.split(",") if tok.strip()]
-    for m in methods:
-        if m not in sweep.METHOD_NAMES:
-            raise ValueError(f"unknown method {m!r}, expected one of {sweep.METHOD_NAMES}")
-    if not methods:
-        raise ValueError("no methods given")
-    _reject_duplicates("method", methods)
-    return methods
+def _parse_mask(text: str) -> np.ndarray:
+    tokens = [tok for tok in text.split(",") if tok.strip()] if "," in text else list(text)
+    return analysis.rs_mask([int(tok) for tok in tokens])
 
 
 def cmd_embed(args) -> None:
@@ -125,7 +112,7 @@ def cmd_capacity(args) -> None:
 
 
 def cmd_metrics(args) -> None:
-    _refuse_existing([args.csv], args.force)
+    _refuse_outputs(args, args.b)
     a = analysis.Reference(load_pgm(args.a))  # one band scan and int32 copy for all three metrics
     b = load_pgm(args.b)
     values = {
@@ -141,7 +128,7 @@ def cmd_metrics(args) -> None:
 
 def cmd_rs(args) -> None:
     mask = _parse_mask(args.mask)
-    _refuse_existing([args.csv], args.force)
+    _refuse_outputs(args, args.image)
     values = analysis.rs_analysis(load_pgm(args.image), mask).metrics()
     for name, value in values.items():
         print(f"{name.removeprefix('rs_')}: {value:.6f}")
@@ -149,7 +136,7 @@ def cmd_rs(args) -> None:
 
 
 def cmd_pdh(args) -> None:
-    _refuse_existing([args.csv], args.force)
+    _refuse_outputs(args, args.image)
     img = load_pgm(args.image)
     hist = analysis.pd_histogram(img)
     print(f"pairs: {hist.total}")
@@ -160,7 +147,7 @@ def cmd_pdh(args) -> None:
 
 
 def cmd_corpus(args) -> None:
-    if args.count < 1 or args.size < analysis.Q_WINDOW:
+    if args.count < 1 or not analysis.fits_window(args.size, args.size):
         raise ValueError(f"need --count >= 1 and --size >= {analysis.Q_WINDOW}")
     covers = Path(args.out_dir) / "covers"
     paths = [covers / f"cover{i:02d}.pgm" for i in range(args.count)]
@@ -193,15 +180,17 @@ def _print_summary(rows) -> None:
 
 
 def cmd_compare(args) -> None:
-    methods, rates = _parse_methods(args.methods), _parse_rates(args.rates)
+    methods = _parse_list("method", args.methods, sweep.check_method)
+    rates = _parse_list("rate", args.rates, lambda tok: sweep.check_rate(float(tok)))
     _refuse_existing([args.csv], args.force)
     cover_dir = Path(args.cover_dir)
     paths = sorted(cover_dir.glob("*.pgm"))
     if not paths:
         raise OSError(f"no .pgm covers found in {cover_dir}")
-    for p in paths:  # every cover's header is checked before any raster is read
+    for p in paths:  # every cover's name and header are checked before any raster is read
+        analysis.csv_field(p.name)
         with PgmFile(p) as cover:
-            if min(cover.height, cover.width) < analysis.Q_WINDOW:
+            if not analysis.fits_window(cover.height, cover.width):
                 side = analysis.Q_WINDOW
                 raise analysis.ImageTooSmallError(f"{p} is {cover.height}x{cover.width}, under {side}x{side}")
     payload = load_pgm(args.payload)
@@ -231,20 +220,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cover", required=True, help="cover PGM file")
     p.add_argument("--payload", required=True, help="payload PGM file")
     p.add_argument("--out", required=True, help="stego PGM to write")
-    p.add_argument("--mu", type=int, choices=(1, 2, 3, 4), default=1, help="bits per carrier neighbor")
+    p.add_argument("--mu", type=int, choices=codec.MU_VALUES, default=1, help="bits per carrier neighbor")
     add_force(p)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("extract", help="recover the payload from a stego image")
     p.add_argument("--stego", required=True, help="stego PGM file")
     p.add_argument("--out", required=True, help="payload PGM to write")
-    p.add_argument("--mu", type=int, choices=(1, 2, 3, 4), default=1, help="bits per carrier neighbor")
+    p.add_argument("--mu", type=int, choices=codec.MU_VALUES, default=1, help="bits per carrier neighbor")
     add_force(p)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("capacity", help="print stream capacity of a cover")
     p.add_argument("--cover", required=True, help="cover PGM file")
-    p.add_argument("--mu", type=int, choices=(1, 2, 3, 4), default=1, help="bits per carrier neighbor")
+    p.add_argument("--mu", type=int, choices=codec.MU_VALUES, default=1, help="bits per carrier neighbor")
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("metrics", help="PSNR / quality index / histogram L1 of an image pair")
@@ -288,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="proposed,lsb1,lsbm,lsbmr",
         help=f"comma separated subset of {','.join(sweep.METHOD_NAMES)}",
     )
-    p.add_argument("--mu", type=int, choices=(1, 2, 3, 4), default=1, help="bits per carrier neighbor")
+    p.add_argument("--mu", type=int, choices=codec.MU_VALUES, default=1, help="bits per carrier neighbor")
     p.add_argument("--seed", type=int, default=0, help="seed for the baselines' RNG")
     p.add_argument("--csv", required=True, help="CSV file to write")
     add_force(p)
@@ -317,7 +306,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
     except MemoryError as exc:
-        return _fail(EXIT_USAGE, f"out of memory: {exc}")
+        return _fail(EXIT_USAGE, f"out of memory: {exc}" if str(exc) else "out of memory")
     return EXIT_OK
 
 

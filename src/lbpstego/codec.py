@@ -24,6 +24,7 @@ from .lbp import NEIGHBOR_OFFSETS, lbp_codes
 
 HEADER_BYTES = 4
 MAX_PAYLOAD_SIDE = 0xFFFF
+MU_VALUES = (1, 2, 3, 4)
 
 # (row, col) of each ring neighbor inside a 3x3 block, in NEIGHBOR_OFFSETS order.
 _RING_POS = tuple((1 + dr, 1 + dc) for dr, dc in NEIGHBOR_OFFSETS)
@@ -64,8 +65,8 @@ class StegoParams:
     mu: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.mu, int) or not 1 <= self.mu <= 4:
-            raise ValueError(f"mu must be an integer in [1, 4], got {self.mu!r}")
+        if not isinstance(self.mu, int) or self.mu not in MU_VALUES:
+            raise ValueError(f"mu must be one of {MU_VALUES}, got {self.mu!r}")
 
     @property
     def clamp_lo(self) -> int:

@@ -37,6 +37,20 @@ def pdh_correlation(a: GrayImage | analysis.Reference, b: GrayImage) -> float:
     return float((xc * yc).sum() / denom)
 
 
+def check_method(name: str) -> str:
+    """``name``, if it is one of :data:`METHOD_NAMES`; ValueError otherwise."""
+    if name not in METHODS:
+        raise ValueError(f"unknown method {name!r}, expected one of {METHOD_NAMES}")
+    return name
+
+
+def check_rate(rate: float) -> float:
+    """``rate``, a percent of capacity, if it lies in (0, 100]; ValueError otherwise."""
+    if not 0.0 < rate <= 100.0:
+        raise ValueError(f"rates must lie in (0, 100], got {rate!r}")
+    return rate
+
+
 def crop_payload_to_rate(
     payload: GrayImage, cover: GrayImage, params: codec.StegoParams, rate: float
 ) -> GrayImage:
@@ -45,10 +59,8 @@ def crop_payload_to_rate(
     Cropping is row-granular, so the realized rate can sit slightly off the
     request; at least one payload row is always kept.
     """
-    if not 0.0 < rate <= 100.0:
-        raise ValueError(f"rate must be in (0, 100], got {rate}")
     cap = codec.capacity(cover, params)
-    body = codec.payload_budget(int(cap * rate / 100.0))
+    body = codec.payload_budget(int(cap * check_rate(rate) / 100.0))
     rows = min(payload.height, max(1, body // payload.width))
     return GrayImage(payload.pixels[:rows, :])
 
@@ -73,8 +85,7 @@ def embed_at_rate(
 
     Returns (stego, embedded stream bits). Rate 0 is the untouched cover.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {METHOD_NAMES}")
+    check_method(method)
     if rate == 0:
         return cover, 0
     if METHODS[method] is None:
@@ -83,7 +94,7 @@ def embed_at_rate(
         stego = codec.embed(cover, cropped, params)
         return stego, 8 * codec.stream_bytes(cropped)
     base = replace(METHODS[method], seed=seed)
-    n_bits = int(base.capacity_bits(cover) * rate / 100.0)
+    n_bits = int(base.capacity_bits(cover) * check_rate(rate) / 100.0)
     bits = payload_bits(payload, n_bits)
     return baselines.baseline_embed(cover, bits, base), n_bits
 

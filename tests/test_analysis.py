@@ -339,8 +339,10 @@ class TestEmitCsv:
         assert parsed[2] == ["img.pgm", "lsbm", "25", "bits", "12345"]
 
     def test_fields_needing_quotes_rejected(self):
-        with pytest.raises(ValueError):
-            emit_csv([MetricRow("a,b", "m", 1, "x", 0)])
+        # A CSV reader ends a row at a bare CR as at LF.
+        for name in ("a,b", 'a"b', "a\nb", "a\rb"):
+            with pytest.raises(ValueError, match="needs quoting"):
+                emit_csv([MetricRow(name, "m", 1, "x", 0)])
 
 
 @settings(max_examples=40)

@@ -1,6 +1,8 @@
 """The benchmark checks every round trip with ``bench/counts.py``, which keeps
-its own copies of the size header, the ring order and the clip rule; a change
-to any of them in the library must fail here, not only at bench time."""
+its own copies of the size header, the ring order and the clip rule, and
+renders its inputs with ``bench/gen.py``, which keeps its own copy of the mu
+values; a change to any of them in the library must fail here, not only at
+bench time."""
 
 import importlib.util
 from pathlib import Path
@@ -12,20 +14,24 @@ from lbpstego import codec, synth
 from lbpstego.cli import EXIT_OK, main
 from lbpstego.image import GrayImage, save_pgm
 
-COUNTS = Path(__file__).resolve().parent.parent / "bench" / "counts.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_counts():
-    spec = importlib.util.spec_from_file_location("bench_counts", COUNTS)
-    counts = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(counts)
-    return counts
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_counts_keeps_the_library_ring_and_header_size():
-    counts = load_counts()
+    counts = load_bench("counts")
     assert list(zip(counts.RING_ROWS.tolist(), counts.RING_COLS.tolist())) == list(codec._RING_POS)
     assert counts.HEADER_BYTES == codec.HEADER_BYTES
+
+
+def test_gen_renders_every_mu_the_codec_takes():
+    assert load_bench("gen").MUS == codec.MU_VALUES
 
 
 @pytest.mark.parametrize("mu", [1, 2, 3, 4])
@@ -45,7 +51,7 @@ def test_counts_agree_with_a_cli_round_trip(tmp_path, mu):
             "--out", str(paths["stego"]), "--mu", str(mu)]
     assert main(argv) == EXIT_OK
 
-    counts = load_counts().round_trip_counts(paths["cover"], paths["payload"], paths["stego"], mu)
+    counts = load_bench("counts").round_trip_counts(paths["cover"], paths["payload"], paths["stego"], mu)
     used = -(-codec.stream_bytes(payload) // mu)
     assert counts["ok"]
     assert counts["blocks_used"] == used

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import errno
 import os
@@ -811,6 +812,71 @@ def test_out_of_memory_is_one_line_and_writes_nothing(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 298. GiB for an array\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bare_out_of_memory_has_no_dangling_colon(tmp_path, capsys, monkeypatch):
+    def corpus(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli.synth, "corpus", corpus)
+    assert main(_corpus_args(tmp_path / "corpus")) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
+@pytest.mark.parametrize("name", ["a,b.pgm", 'a"b.pgm', "a\nb.pgm", "a\rb.pgm"])
+@pytest.mark.parametrize("command", ["compare", "metrics", "rs", "pdh"])
+def test_a_csv_unsafe_image_name_is_refused_before_any_input_is_read(
+    workspace, capsys, monkeypatch, command, name
+):
+    tmp, cover, _ = workspace
+    covers, out = tmp / "covers", tmp / "out.csv"
+    covers.mkdir()
+    save_pgm(covers / name, cover)
+
+    def no_input(*args, **kwargs):
+        raise AssertionError("an input was read before the image name was refused")
+
+    for attr in ("load_pgm", "PgmFile"):
+        monkeypatch.setattr(cli, attr, no_input)
+    monkeypatch.setattr(cli.sweep, "run_sweep", no_input)
+    image = str(covers / name)
+    argv = {
+        "compare": ["compare", "--cover-dir", str(covers), "--payload", str(tmp / "payload.pgm")],
+        "metrics": ["metrics", "--a", str(tmp / "cover.pgm"), "--b", image],
+        "rs": ["rs", "--image", image],
+        "pdh": ["pdh", "--image", image],
+    }[command]
+    assert main(argv + ["--csv", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: CSV field {name!r} needs quoting, which this emitter avoids\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["metrics", "rs", "pdh"])
+def test_a_csv_unsafe_image_name_is_fine_without_csv(workspace, capsys, command):
+    tmp, cover, _ = workspace
+    image = tmp / "a,b.pgm"
+    save_pgm(image, cover)
+    argv = {
+        "metrics": ["metrics", "--a", str(tmp / "cover.pgm"), "--b", str(image)],
+        "rs": ["rs", "--image", str(image)],
+        "pdh": ["pdh", "--image", str(image)],
+    }[command]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_every_mu_flag_offers_the_codec_mu_values():
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    mu_choices = {
+        name: action.choices
+        for name, parser in subparsers.choices.items()
+        for action in parser._actions
+        if action.dest == "mu"
+    }
+    assert sorted(mu_choices) == ["capacity", "compare", "embed", "extract"]
+    assert all(tuple(choices) == codec.MU_VALUES for choices in mu_choices.values())
 
 
 @pytest.mark.parametrize(

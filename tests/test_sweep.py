@@ -51,8 +51,16 @@ def test_payload_bits_tile_when_short():
 
 
 def test_rate_zero_returns_cover(cover, payload):
-    stego, bits = embed_at_rate(cover, payload, "proposed", 0)
-    assert stego == cover and bits == 0
+    for method in METHOD_NAMES:
+        stego, bits = embed_at_rate(cover, payload, method, 0)
+        assert stego == cover and bits == 0
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+@pytest.mark.parametrize("rate", [-5, 100.5, float("nan")])
+def test_every_method_refuses_a_rate_outside_0_to_100(cover, payload, method, rate):
+    with pytest.raises(ValueError, match=r"rates must lie in \(0, 100\]"):
+        embed_at_rate(cover, payload, method, rate)
 
 
 def test_unknown_method_rejected(cover, payload):
