@@ -121,9 +121,16 @@ SWEEP_CSV_DIGESTS = {
     (3, 7): "269bdc3af12bcf51f0b3e8bac302b145321a36df10c1d683d232d7a82f7a47a0",
 }
 
+# The same at rates 10, 30, 50 and 100, where each method's stegos at
+# successive rates share their rows: pins the values across ascending rates.
+SWEEP_CSV_DIGESTS_FOUR_RATES = {
+    (1, 0): "6878e735f92d530a4432c8c705ab7b8b37a20c2eec16e4680c59e3acefc0b549",
+    (3, 7): "883a3065044179f0830a4634526a84522445d127ccda9880b6e22c6362aad6ec",
+}
 
-@pytest.mark.parametrize("mu, seed", sorted(SWEEP_CSV_DIGESTS))
-def test_sweep_csv_matches_golden_digest(mu, seed):
+
+def sweep_csv_digest(rates, mu, seed) -> str:
+    """SHA-256 of the sweep CSV over an edge-level and a random cover, every method."""
     rng = np.random.default_rng(2024)
     levels = np.array([0, 1, 254, 255, 128], dtype=np.uint8)
     covers = [
@@ -131,6 +138,16 @@ def test_sweep_csv_matches_golden_digest(mu, seed):
         ("random.pgm", GrayImage(rng.integers(0, 256, (42, 51), dtype=np.uint8))),
     ]
     payload = GrayImage(rng.integers(0, 256, (30, 10), dtype=np.uint8))
-    csv = emit_csv(run_sweep(covers, payload, METHOD_NAMES, [10, 100], mu=mu, seed=seed))
-    assert len(csv.splitlines()) == 1 + 2 * 7 * 2 * 12
-    assert hashlib.sha256(csv.encode("ascii")).hexdigest() == SWEEP_CSV_DIGESTS[mu, seed]
+    csv = emit_csv(run_sweep(covers, payload, METHOD_NAMES, rates, mu=mu, seed=seed))
+    assert len(csv.splitlines()) == 1 + 2 * 7 * len(rates) * 12
+    return hashlib.sha256(csv.encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("mu, seed", sorted(SWEEP_CSV_DIGESTS))
+def test_sweep_csv_matches_golden_digest(mu, seed):
+    assert sweep_csv_digest([10, 100], mu, seed) == SWEEP_CSV_DIGESTS[mu, seed]
+
+
+@pytest.mark.parametrize("mu, seed", sorted(SWEEP_CSV_DIGESTS_FOUR_RATES))
+def test_four_rate_sweep_csv_matches_golden_digest(mu, seed):
+    assert sweep_csv_digest([10, 30, 50, 100], mu, seed) == SWEEP_CSV_DIGESTS_FOUR_RATES[mu, seed]
