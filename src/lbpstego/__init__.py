@@ -3,9 +3,7 @@
 from .analysis import (
     ImageTooSmallError,
     MetricRow,
-    PdHistogram,
     Reference,
-    RsStatistics,
     bit_rate,
     emit_csv,
     histogram,
@@ -38,11 +36,9 @@ __all__ = [
     "ImageTooSmallError",
     "MetricRow",
     "NEIGHBOR_OFFSETS",
-    "PdHistogram",
     "PgmError",
     "PgmFile",
     "Reference",
-    "RsStatistics",
     "StegoParams",
     "baseline_embed",
     "baseline_extract",

@@ -116,14 +116,14 @@ class Reference:
 
     @cached_property
     def pd_counts(self) -> np.ndarray:
-        return pd_histogram(self.image).counts
+        return pd_histogram(self.image)
 
     def pd_counts_of(self, other: GrayImage) -> np.ndarray:
         """The pixel-difference counts of ``other``, from its band rows only."""
         lo, hi = self.band(other)
         if lo == hi:
             return self.pd_counts
-        band = pd_histogram(GrayImage(other.pixels[lo:hi])).counts
+        band = pd_histogram(GrayImage(other.pixels[lo:hi]))
         return self.pd_counts - _pd_counts(self.image.pixels[lo:hi]) + band
 
     def rs_rows(self, mask: np.ndarray) -> np.ndarray:
@@ -226,55 +226,11 @@ def histogram_l1(a: GrayImage | Reference, b: GrayImage) -> float:
     return int(np.abs(band_a - band_b).sum()) / (2 * b.width * b.height)
 
 
-@dataclass(frozen=True, eq=False)
-class PdHistogram:
-    """Counts of horizontal neighbor differences, indexed by d in [-255, 255]."""
-
-    counts: np.ndarray  # (511,) int64, index d + 255
-
-    def count(self, d: int) -> int:
-        if not -MAX_DIFF <= d <= MAX_DIFF:
-            raise ValueError(f"difference {d} out of [-255, 255]")
-        return int(self.counts[d + MAX_DIFF])
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def differences(self) -> np.ndarray:
-        return np.arange(-MAX_DIFF, MAX_DIFF + 1)
-
-
-def pd_histogram(img: GrayImage) -> PdHistogram:
-    """Histogram of right-neighbor differences pixel(r, c+1) - pixel(r, c)."""
+def pd_histogram(img: GrayImage) -> np.ndarray:
+    """(511,) int64 counts of right-neighbor differences d = pixel(r, c+1) - pixel(r, c), index d + 255."""
     if img.width < 2:
         raise ImageTooSmallError("pixel-difference histogram needs width >= 2")
-    return PdHistogram(_pd_counts(img.pixels))
-
-
-@dataclass(frozen=True)
-class RsStatistics:
-    """Fractions of regular/singular pixel groups under a flip mask and its negation."""
-
-    r_m: float
-    s_m: float
-    r_neg_m: float
-    s_neg_m: float
-
-    @property
-    def diff_m(self) -> float:
-        return abs(self.r_m - self.s_m)
-
-    @property
-    def diff_neg_m(self) -> float:
-        return abs(self.r_neg_m - self.s_neg_m)
-
-    def metrics(self) -> dict[str, float]:
-        """The four fractions, then the two differences, as CSV metrics, each
-        named ``rs_`` plus its attribute."""
-        names = ("r_m", "s_m", "r_neg_m", "s_neg_m", "diff_m", "diff_neg_m")
-        return {f"rs_{name}": getattr(self, name) for name in names}
+    return _pd_counts(img.pixels)
 
 
 # F1(x) = x ^ 1 and F-1(x) = F1(x + 1) - 1 (Fridrich, Goljan & Du 2001),
@@ -322,13 +278,15 @@ def rs_mask(mask) -> np.ndarray:
 
 def rs_analysis(
     img: GrayImage, mask=DEFAULT_RS_MASK, *, reference: Reference | None = None
-) -> RsStatistics:
+) -> dict[str, float]:
     """RS statistics over row-wise non-overlapping groups of ``len(mask)`` pixels.
 
     A group is regular when flipping per the mask raises the smoothness
     measure sum(|x[i+1] - x[i]|), singular when it lowers it; groups that
-    tie count for neither. Fractions are reported for the mask and its
-    negation; leftover columns that do not fill a group are ignored.
+    tie count for neither. Returns, named as CSV metrics and in this order,
+    the fractions of regular and singular groups under the mask and its
+    negation, then |R - S| for each; leftover columns that do not fill a
+    group are ignored.
     With a :class:`Reference` of the same size, only the rows of ``img``
     that differ from it are grouped; the fractions are the same.
     """
@@ -342,7 +300,9 @@ def rs_analysis(
     band = [np.count_nonzero(f) for f in _rs_flags(img.pixels[lo:hi], mask)]
     counts = (running[-1] - running[hi] + running[lo] + band).tolist()
     groups = img.height * (img.width // n)
-    return RsStatistics(*(float(c / groups) for c in counts))
+    r_m, s_m, r_neg_m, s_neg_m = (c / groups for c in counts)
+    return {"rs_r_m": r_m, "rs_s_m": s_m, "rs_r_neg_m": r_neg_m, "rs_s_neg_m": s_neg_m,
+            "rs_diff_m": abs(r_m - s_m), "rs_diff_neg_m": abs(r_neg_m - s_neg_m)}
 
 
 @dataclass(frozen=True)

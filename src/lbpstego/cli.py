@@ -66,6 +66,14 @@ def _write_metrics(args, image: str, method: str, values: dict) -> None:
         save_chunks(args.csv, [analysis.emit_csv(rows).encode("ascii")])
 
 
+def _parse_number(flag: str, tok: str, convert):
+    """``convert(tok)``, or a ValueError that names ``flag`` and ``tok``."""
+    try:
+        return convert(tok)
+    except ValueError:
+        raise ValueError(f"{flag}: cannot parse {tok!r}") from None
+
+
 def _parse_list(kind: str, text: str, parse) -> list:
     values = [parse(tok.strip()) for tok in text.split(",") if tok.strip()]
     if not values:
@@ -78,7 +86,16 @@ def _parse_list(kind: str, text: str, parse) -> list:
 
 def _parse_mask(text: str) -> np.ndarray:
     tokens = [tok for tok in text.split(",") if tok.strip()] if "," in text else list(text)
-    return analysis.rs_mask([int(tok) for tok in tokens])
+    return analysis.rs_mask([_parse_number("--mask", tok, int) for tok in tokens])
+
+
+def _check_window(path, pgm: PgmFile) -> None:
+    """Raise ImageTooSmallError if ``pgm``, opened from ``path``, is under the 8x8 window."""
+    if not analysis.fits_window(pgm.height, pgm.width):
+        floor = f"{analysis.Q_WINDOW}x{analysis.Q_WINDOW}"
+        raise analysis.ImageTooSmallError(
+            f"{path} is {pgm.height}x{pgm.width}, under {floor}: images must be at least {floor}"
+        )
 
 
 def cmd_embed(args) -> None:
@@ -113,8 +130,13 @@ def cmd_capacity(args) -> None:
 
 def cmd_metrics(args) -> None:
     _refuse_outputs(args, args.b)
-    a = analysis.Reference(load_pgm(args.a))  # one band scan and int32 copy for all three metrics
-    b = load_pgm(args.b)
+    # Both headers are checked before either raster is read, and each file is
+    # opened once, so a pipe can be given too.
+    with PgmFile(args.a) as pa, PgmFile(args.b) as pb:
+        _check_window(args.a, pa)
+        _check_window(args.b, pb)
+        a = analysis.Reference(GrayImage(pa.rows(pa.height)))  # one band scan and int32 copy for all metrics
+        b = GrayImage(pb.rows(pb.height))
     values = {
         "psnr": analysis.psnr(a, b),
         "q_index": analysis.quality_index(a, b),
@@ -129,7 +151,7 @@ def cmd_metrics(args) -> None:
 def cmd_rs(args) -> None:
     mask = _parse_mask(args.mask)
     _refuse_outputs(args, args.image)
-    values = analysis.rs_analysis(load_pgm(args.image), mask).metrics()
+    values = analysis.rs_analysis(load_pgm(args.image), mask)
     for name, value in values.items():
         print(f"{name.removeprefix('rs_')}: {value:.6f}")
     _write_metrics(args, args.image, "rs", values)
@@ -137,13 +159,12 @@ def cmd_rs(args) -> None:
 
 def cmd_pdh(args) -> None:
     _refuse_outputs(args, args.image)
-    img = load_pgm(args.image)
-    hist = analysis.pd_histogram(img)
-    print(f"pairs: {hist.total}")
-    peak = int(hist.differences[hist.counts.argmax()])
-    print(f"peak difference: {peak} ({int(hist.counts.max())} pairs)")
-    counts = zip(hist.differences.tolist(), hist.counts.tolist())
-    _write_metrics(args, args.image, "pdh", {f"pdh_{d}": count for d, count in counts})
+    counts = analysis.pd_histogram(load_pgm(args.image))
+    peak = int(counts.argmax())
+    print(f"pairs: {counts.sum()}")
+    print(f"peak difference: {peak - analysis.MAX_DIFF} ({counts[peak]} pairs)")
+    values = {f"pdh_{i - analysis.MAX_DIFF}": count for i, count in enumerate(counts.tolist())}
+    _write_metrics(args, args.image, "pdh", values)
 
 
 def cmd_corpus(args) -> None:
@@ -181,7 +202,9 @@ def _print_summary(rows) -> None:
 
 def cmd_compare(args) -> None:
     methods = _parse_list("method", args.methods, sweep.check_method)
-    rates = _parse_list("rate", args.rates, lambda tok: sweep.check_rate(float(tok)))
+    rates = _parse_list(
+        "rate", args.rates, lambda tok: sweep.check_rate(_parse_number("--rates", tok, float))
+    )
     _refuse_existing([args.csv], args.force)
     cover_dir = Path(args.cover_dir)
     paths = sorted(cover_dir.glob("*.pgm"))
@@ -190,9 +213,7 @@ def cmd_compare(args) -> None:
     for p in paths:  # every cover's name and header are checked before any raster is read
         analysis.csv_field(p.name)
         with PgmFile(p) as cover:
-            if not analysis.fits_window(cover.height, cover.width):
-                side = analysis.Q_WINDOW
-                raise analysis.ImageTooSmallError(f"{p} is {cover.height}x{cover.width}, under {side}x{side}")
+            _check_window(p, cover)
     payload = load_pgm(args.payload)
     rows = []
     for p in paths:  # one cover in memory at a time; ``paths`` is in name order

@@ -113,14 +113,13 @@ def metric_rows(
     between cells.
     """
     ref = analysis.Reference.of(cover)
-    rs = analysis.rs_analysis(stego, analysis.DEFAULT_RS_MASK, reference=ref)
     values = {
         "psnr": analysis.psnr(ref, stego),
         "q_index": analysis.quality_index(ref, stego),
         "bit_rate": analysis.bit_rate(embedded_bits, ref.image),
         "embedded_bits": embedded_bits,
         "hist_l1": analysis.histogram_l1(ref, stego),
-        **rs.metrics(),
+        **analysis.rs_analysis(stego, reference=ref),
         "pdh_corr": pdh_correlation(ref, stego),
     }
     return analysis.metric_rows(name, method, rate, values)

@@ -3,11 +3,10 @@ the oracle for ``analysis.rs_analysis``'s column kernel."""
 
 import numpy as np
 
-from lbpstego.analysis import RsStatistics
 from lbpstego.image import GrayImage
 
 
-def rs_closed_form(img: GrayImage, mask) -> RsStatistics:
+def rs_closed_form(img: GrayImage, mask) -> dict[str, float]:
     """Flip every group with one int16 expression per mask, then compare smoothness."""
     mask = np.asarray(mask, dtype=np.int64)
     n = int(mask.size)
@@ -22,4 +21,12 @@ def rs_closed_form(img: GrayImage, mask) -> RsStatistics:
         flipped = np.clip(((groups + neg) ^ flip) - neg, 0, 255)
         after = np.abs(np.diff(flipped, axis=-1)).sum(axis=-1)
         fractions += [float(np.count_nonzero(c) / base.size) for c in (after > base, after < base)]
-    return RsStatistics(*fractions)
+    r_m, s_m, r_neg_m, s_neg_m = fractions
+    return {
+        "rs_r_m": r_m,
+        "rs_s_m": s_m,
+        "rs_r_neg_m": r_neg_m,
+        "rs_s_neg_m": s_neg_m,
+        "rs_diff_m": abs(r_m - s_m),
+        "rs_diff_neg_m": abs(r_neg_m - s_neg_m),
+    }

@@ -226,7 +226,7 @@ def test_criterion_6_metric_oracles():
         w = int(rng.integers(2, 25))
         img = GrayImage(rng.integers(0, 256, (h, w), dtype=np.uint8))
         assert int(histogram(img).sum()) == h * w
-        assert pd_histogram(img).total == h * (w - 1)
+        assert pd_histogram(img).sum() == h * (w - 1)
     report(6, "PSNR closed forms within 0.01 dB, Q(a,a)=1, counting identities on 1000 images")
 
 
@@ -241,8 +241,8 @@ def test_criterion_7_rs_stays_flat(corpus10):
         for rate in rates:
             stego, _ = embed_at_rate(cover, payload, "proposed", rate, mu=1)
             rs = rs_analysis(stego)
-            diffs_m.append(abs(rs.r_m - rs.s_m))
-            diffs_neg.append(abs(rs.r_neg_m - rs.s_neg_m))
+            diffs_m.append(abs(rs["rs_r_m"] - rs["rs_s_m"]))
+            diffs_neg.append(abs(rs["rs_r_neg_m"] - rs["rs_s_neg_m"]))
             rows.append(MetricRow(name, "proposed", rate, "rs_diff_m", diffs_m[-1]))
             rows.append(MetricRow(name, "proposed", rate, "rs_diff_neg_m", diffs_neg[-1]))
         variation_m = max(diffs_m) - min(diffs_m)

@@ -237,10 +237,14 @@ def test_rate_out_of_range_is_usage_error(workspace):
         assert rc == 2
 
 
-def test_bad_rs_mask_is_usage_error(workspace):
+def test_bad_rs_mask_is_usage_error(workspace, capsys):
     tmp, _, _ = workspace
     assert main(["rs", "--image", str(tmp / "cover.pgm"), "--mask", "0210"]) == 2
     assert main(["rs", "--image", str(tmp / "cover.pgm"), "--mask", "1"]) == 2
+    capsys.readouterr()
+    for mask, token in (("01x0", "x"), ("0,1,a,0", "a")):
+        assert main(["rs", "--image", str(tmp / "cover.pgm"), "--mask", mask]) == 2
+        assert capsys.readouterr().err == f"error: --mask: cannot parse {token!r}\n"
     # The mask is checked before the image is read.
     assert main(["rs", "--image", str(tmp / "missing.pgm"), "--mask", "0210"]) == 2
 
@@ -266,6 +270,44 @@ def test_image_too_small_for_the_metric_maps_to_exit_5(tmp_path, capsys, command
     assert main(argv + ["--csv", str(tmp_path / "out.csv")]) == EXIT_CAPACITY
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("small", ["a", "b"])
+def test_metrics_checks_both_headers_before_reading_either_raster(tmp_path, capsys, monkeypatch, small):
+    big, tiny = tmp_path / "big.pgm", tmp_path / "tiny.pgm"
+    save_pgm(big, synth.smooth_cover((32, 32), seed=1))
+    save_pgm(tiny, GrayImage(np.full((7, 7), 100, dtype=np.uint8)))
+
+    def no_raster(*args, **kwargs):
+        raise AssertionError("a raster was read before both headers were checked")
+
+    monkeypatch.setattr(cli, "load_pgm", no_raster)
+    monkeypatch.setattr(cli.PgmFile, "rows", no_raster)
+    a, b = (tiny, big) if small == "a" else (big, tiny)
+    assert main(["metrics", "--a", str(a), "--b", str(b)]) == EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {tiny} is 7x7, under 8x8: images must be at least 8x8\n"
+    assert captured.out == ""
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_metrics_opens_each_input_once_so_pipes_work(workspace, capsys):
+    """A pipe, such as a shell's ``<(...)``, can be read only once."""
+    tmp, _, _ = workspace
+    path = tmp / "cover.pgm"
+    assert main(["metrics", "--a", str(path), "--b", str(path)]) == EXIT_OK
+    expected = capsys.readouterr().out
+    pipes = [os.pipe() for _ in range(2)]
+    try:
+        for _, w in pipes:
+            os.write(w, path.read_bytes())  # under a pipe's 64 KiB buffer
+            os.close(w)
+        argv = ["metrics", "--a", f"/dev/fd/{pipes[0][0]}", "--b", f"/dev/fd/{pipes[1][0]}"]
+        assert main(argv) == EXIT_OK
+    finally:
+        for r, _ in pipes:
+            os.close(r)
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize(
@@ -638,6 +680,7 @@ def test_write_errors_name_the_output_not_the_temp_file(workspace, capsys):
         ("--rates", "50, 5e1", "duplicate rate 50.0"),
         ("--methods", "lsb1,lsbm,lsb1", "duplicate method 'lsb1'"),
         ("--methods", "lsbm, lsbm", "duplicate method 'lsbm'"),
+        ("--rates", "10,abc", "--rates: cannot parse 'abc'"),
     ],
 )
 def test_detectability_sweep_rejects_bad_rates_and_methods(
