@@ -1,6 +1,6 @@
-"""Stego quality and detectability metrics: PSNR, universal quality index,
-bit rate, intensity and pixel-difference histograms, RS analysis, and a
-deterministic CSV emitter for plotting."""
+"""Stego quality and detectability metrics: PSNR, universal quality index
+and its 8x8 floor, bit rate, intensity and pixel-difference histograms, PDH
+correlation, RS analysis, and a deterministic CSV emitter for plotting."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .image import GrayImage
+from .image import GrayImage, PgmFile
 
 Q_WINDOW = 8
 MAX_DIFF = 255
@@ -23,6 +23,13 @@ class ImageTooSmallError(ValueError):
 
 def fits_window(height: int, width: int) -> bool:
     return min(height, width) >= Q_WINDOW
+
+
+def check_window(img: GrayImage | PgmFile, name="image") -> None:
+    """Raise ImageTooSmallError, naming ``img`` as ``name``, if it is under the 8x8 window."""
+    if not fits_window(img.height, img.width):
+        size, floor = f"{img.height}x{img.width}", f"{Q_WINDOW}x{Q_WINDOW}"
+        raise ImageTooSmallError(f"{name} is {size}, under {floor}: images must be at least {floor}")
 
 
 def psnr(a: GrayImage | Reference, b: GrayImage) -> float:
@@ -64,7 +71,7 @@ class Reference:
     It keeps its int32 pixels, the quality index's 8x8 window terms, its
     pixel-difference histogram and, per RS mask, running per-row counts of
     regular and singular groups. Each is computed on first use and then kept.
-    ``psnr``, ``quality_index``, ``histogram_l1`` and ``sweep.pdh_correlation``
+    ``psnr``, ``quality_index``, ``histogram_l1`` and ``pdh_correlation``
     take a Reference in place of a ``GrayImage`` as their first argument, and
     ``rs_analysis`` takes one as ``reference=``.
 
@@ -107,8 +114,7 @@ class Reference:
     def window_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(sa, n * saa - sa * sa, sa * sa) over every 8x8 window, in int32:
         sa and saa sum the pixels and their squares, and n = 64."""
-        if not fits_window(self.image.height, self.image.width):
-            raise ImageTooSmallError(f"images must be at least {Q_WINDOW}x{Q_WINDOW}")
+        check_window(self.image)
         pa = self.pixels32
         sa, saa = _window_sums(pa), _window_sums(pa * pa)
         sa2 = sa * sa
@@ -231,6 +237,18 @@ def pd_histogram(img: GrayImage) -> np.ndarray:
     if img.width < 2:
         raise ImageTooSmallError("pixel-difference histogram needs width >= 2")
     return _pd_counts(img.pixels)
+
+
+def pdh_correlation(a: GrayImage | Reference, b: GrayImage) -> float:
+    """Pearson correlation between the two pixel-difference histograms."""
+    ref = Reference.of(a)
+    x = ref.pd_counts.astype(np.float64)
+    y = ref.pd_counts_of(b).astype(np.float64)
+    xc, yc = x - x.mean(), y - y.mean()
+    denom = float(np.sqrt((xc * xc).sum() * (yc * yc).sum()))
+    if denom == 0.0:
+        return 1.0 if np.array_equal(x, y) else 0.0
+    return float((xc * yc).sum() / denom)
 
 
 # F1(x) = x ^ 1 and F-1(x) = F1(x + 1) - 1 (Fridrich, Goljan & Du 2001),

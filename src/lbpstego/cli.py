@@ -27,7 +27,7 @@ exit codes:
   2  bad usage (unknown flag, bad value), or out of memory
   3  file unreadable or unwritable
   4  malformed or unsupported PGM file
-  5  payload exceeds capacity / cover too small
+  5  payload exceeds capacity, or image too small for the codec or a metric
   6  corrupt stego stream (wrong --mu, or not a stego image)
   7  output exists (pass --force to overwrite)
 """
@@ -74,6 +74,12 @@ def _parse_number(flag: str, tok: str, convert):
         raise ValueError(f"{flag}: cannot parse {tok!r}") from None
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a negative ``--seed``, which numpy's generators reject only once they are built."""
+    if seed < 0:
+        raise ValueError(f"--seed: must be >= 0, got {seed}")
+
+
 def _parse_list(kind: str, text: str, parse) -> list:
     values = [parse(tok.strip()) for tok in text.split(",") if tok.strip()]
     if not values:
@@ -87,15 +93,6 @@ def _parse_list(kind: str, text: str, parse) -> list:
 def _parse_mask(text: str) -> np.ndarray:
     tokens = [tok for tok in text.split(",") if tok.strip()] if "," in text else list(text)
     return analysis.rs_mask([_parse_number("--mask", tok, int) for tok in tokens])
-
-
-def _check_window(path, pgm: PgmFile) -> None:
-    """Raise ImageTooSmallError if ``pgm``, opened from ``path``, is under the 8x8 window."""
-    if not analysis.fits_window(pgm.height, pgm.width):
-        floor = f"{analysis.Q_WINDOW}x{analysis.Q_WINDOW}"
-        raise analysis.ImageTooSmallError(
-            f"{path} is {pgm.height}x{pgm.width}, under {floor}: images must be at least {floor}"
-        )
 
 
 def cmd_embed(args) -> None:
@@ -133,8 +130,8 @@ def cmd_metrics(args) -> None:
     # Both headers are checked before either raster is read, and each file is
     # opened once, so a pipe can be given too.
     with PgmFile(args.a) as pa, PgmFile(args.b) as pb:
-        _check_window(args.a, pa)
-        _check_window(args.b, pb)
+        analysis.check_window(pa, args.a)
+        analysis.check_window(pb, args.b)
         a = analysis.Reference(GrayImage(pa.rows(pa.height)))  # one band scan and int32 copy for all metrics
         b = GrayImage(pb.rows(pb.height))
     values = {
@@ -170,6 +167,7 @@ def cmd_pdh(args) -> None:
 def cmd_corpus(args) -> None:
     if args.count < 1 or not analysis.fits_window(args.size, args.size):
         raise ValueError(f"need --count >= 1 and --size >= {analysis.Q_WINDOW}")
+    _check_seed(args.seed)
     covers = Path(args.out_dir) / "covers"
     paths = [covers / f"cover{i:02d}.pgm" for i in range(args.count)]
     paths.append(covers.parent / "payload.pgm")
@@ -205,6 +203,7 @@ def cmd_compare(args) -> None:
     rates = _parse_list(
         "rate", args.rates, lambda tok: sweep.check_rate(_parse_number("--rates", tok, float))
     )
+    _check_seed(args.seed)
     _refuse_existing([args.csv], args.force)
     cover_dir = Path(args.cover_dir)
     paths = sorted(cover_dir.glob("*.pgm"))
@@ -213,7 +212,7 @@ def cmd_compare(args) -> None:
     for p in paths:  # every cover's name and header are checked before any raster is read
         analysis.csv_field(p.name)
         with PgmFile(p) as cover:
-            _check_window(p, cover)
+            analysis.check_window(cover, p)
     payload = load_pgm(args.payload)
     rows = []
     for p in paths:  # one cover in memory at a time; ``paths`` is in name order

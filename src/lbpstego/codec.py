@@ -10,7 +10,7 @@ stego image alone and undo the masking without ever seeing the cover.
 
 A 4-byte size header (payload rows then cols, big-endian 16-bit each) is
 framed in front of the payload so arbitrary payload dimensions survive
-blind extraction; ``mu`` acts as the shared stego key.
+blind extraction; ``mu`` is a shared setting of four values, not a secret.
 """
 
 from __future__ import annotations

@@ -92,7 +92,7 @@ _WHITESPACE = b" \t\n\r\x0b\x0c"
 # One header field from a field's end: whitespace and ``#`` comments (to the
 # end of the line) are skipped, and the field runs to the next whitespace or
 # ``#``; it is empty only where the data ends.
-_FIELD = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\n\r]*)*([^ \t\n\r\x0b\x0c#]*)")
+_FIELD = re.compile(rb"(?:[%b]|#[^\n\r]*)*([^%b#]*)" % ((re.escape(_WHITESPACE),) * 2))
 
 # A header, up to and including the whitespace byte before the raster, must
 # lie in the first this many bytes; a longer one is malformed.

@@ -1,9 +1,9 @@
 """Rate sweeps comparing the LBP-preserving codec against LSB baselines.
 
-One sweep produces CSV-ready :class:`~lbpstego.analysis.MetricRow` records,
-one per (image, method, rate, metric), covering distortion (PSNR, quality
-index), payload (bit rate, embedded bits) and detectability (histogram L1,
-RS fractions and differences, pixel-difference-histogram correlation).
+A sweep embeds each (image, method, rate) cell and returns one CSV-ready
+:class:`~lbpstego.analysis.MetricRow` per ``analysis`` metric: distortion
+(PSNR, quality index), payload (bit rate, embedded bits) and detectability
+(histogram L1, RS fractions and differences, PDH correlation).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import analysis, baselines, codec
+from .analysis import pdh_correlation  # metric_rows looks it up here, where the bench traces it
 from .image import GrayImage
 
 # Method name to baseline, or None for the LBP codec; a baseline's seed is set per call.
@@ -23,18 +24,6 @@ METHODS = {
     "lsbmr": baselines.BaselineMethod("lsbmr"),
 }
 METHOD_NAMES = tuple(METHODS)
-
-
-def pdh_correlation(a: GrayImage | analysis.Reference, b: GrayImage) -> float:
-    """Pearson correlation between the two pixel-difference histograms."""
-    ref = analysis.Reference.of(a)
-    x = ref.pd_counts.astype(np.float64)
-    y = ref.pd_counts_of(b).astype(np.float64)
-    xc, yc = x - x.mean(), y - y.mean()
-    denom = float(np.sqrt((xc * xc).sum() * (yc * yc).sum()))
-    if denom == 0.0:
-        return 1.0 if np.array_equal(x, y) else 0.0
-    return float((xc * yc).sum() / denom)
 
 
 def check_method(name: str) -> str:

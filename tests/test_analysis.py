@@ -1,6 +1,8 @@
+import ast
 import csv
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from rs_oracle import rs_closed_form
 
+from lbpstego import analysis
 from lbpstego.analysis import (
     MAX_DIFF,
     ImageTooSmallError,
@@ -288,6 +291,38 @@ class TestRsAnalysis:
 def test_too_small_images_raise_image_too_small(metric, shape):
     with pytest.raises(ImageTooSmallError):
         metric(GrayImage(np.zeros(shape, dtype=np.uint8)))
+
+
+def _too_small_raises(tree):
+    """Line numbers of every ``raise ImageTooSmallError(...)`` in ``tree``."""
+    for node in ast.walk(tree):
+        exc = node.exc.func if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) else None
+        if getattr(exc, "id", getattr(exc, "attr", None)) == "ImageTooSmallError":
+            yield node.lineno
+
+
+def test_only_analysis_raises_image_too_small():
+    """Each metric's size floor, the 8x8 window included, is refused in
+    ``analysis`` alone: other modules ask it, as the CLI asks ``check_window``."""
+    src = Path(analysis.__file__).parent
+    raises = {p.name: list(_too_small_raises(ast.parse(p.read_text()))) for p in sorted(src.glob("*.py"))}
+    assert raises["analysis.py"]  # the pin finds the raises it guards
+    assert {name: lines for name, lines in raises.items() if lines and name != "analysis.py"} == {}
+
+
+@pytest.mark.parametrize(
+    "shape, kwargs, message",
+    [
+        ((7, 12), {}, "image is 7x12, under 8x8: images must be at least 8x8"),
+        ((12, 7), {"name": "cover.pgm"}, "cover.pgm is 12x7, under 8x8: images must be at least 8x8"),
+    ],
+    ids=["default-name", "named"],
+)
+def test_check_window_names_the_image_and_the_floor(shape, kwargs, message):
+    with pytest.raises(ImageTooSmallError) as exc:
+        analysis.check_window(GrayImage(np.zeros(shape, dtype=np.uint8)), **kwargs)
+    assert str(exc.value) == message
+    analysis.check_window(GrayImage(np.zeros((8, 8), dtype=np.uint8)))
 
 
 @st.composite

@@ -932,6 +932,30 @@ def test_corpus_rejects_too_small_size_or_count(tmp_path, capsys, flag, value):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["compare", "corpus"])
+def test_negative_seed_is_refused_before_any_work(workspace, capsys, monkeypatch, command):
+    """numpy refuses a negative seed only when a generator is built: for
+    ``compare`` that is the first ``lsbm`` cell, after the covers are read."""
+    tmp, cover, _ = workspace
+    (tmp / "covers").mkdir()
+    save_pgm(tmp / "covers" / "a.pgm", cover)
+    before = sorted(tmp.rglob("*"))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --seed was checked")
+
+    for target, attr in ((cli, "load_pgm"), (cli, "PgmFile"), (cli.sweep, "run_sweep"), (cli, "save_chunks")):
+        monkeypatch.setattr(target, attr, no_work)
+    argv = {
+        "compare": ["compare", "--cover-dir", str(tmp / "covers"), "--payload", str(tmp / "payload.pgm"),
+                    "--methods", "lsb1,lsbm", "--csv", str(tmp / "sweep.csv")],
+        "corpus": ["corpus", "--out-dir", str(tmp / "corpus"), "--size", "16", "--count", "1"],
+    }[command]
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed: must be >= 0, got -1\n"
+    assert sorted(tmp.rglob("*")) == before
+
+
 def _readme_commands(readme_text):
     """Every `lbpstego ...` line in the README's CLI and Experiments code blocks."""
     commands = []

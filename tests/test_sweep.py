@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from lbpstego import synth
+from lbpstego import analysis, sweep, synth
 from lbpstego.analysis import Reference, emit_csv
 from lbpstego.codec import HEADER_BYTES, StegoParams, capacity
 from lbpstego.image import GrayImage
@@ -72,6 +72,12 @@ def test_pdh_correlation_bounds(cover):
     assert pdh_correlation(cover, cover) == 1.0
     inverted = GrayImage(255 - cover.pixels)
     assert -1.0 <= pdh_correlation(cover, inverted) <= 1.0
+
+
+def test_pdh_correlation_is_the_analysis_metric():
+    """``analysis`` defines every metric; ``sweep`` only names it, so the
+    bench can trace it per cell as ``sweep.pdh_correlation``."""
+    assert sweep.pdh_correlation is analysis.pdh_correlation
 
 
 def test_sweep_rows_sorted_and_deterministic(cover, payload):
