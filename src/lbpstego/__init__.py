@@ -24,7 +24,7 @@ from .codec import (
     extract,
     max_payload_bytes,
 )
-from .image import GrayImage, PgmError, PgmFile, load_pgm, read_pgm, save_pgm, write_pgm
+from .image import GrayImage, PgmError, PgmFile, load_pgm, save_pgm, write_pgm
 from .lbp import NEIGHBOR_OFFSETS
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "pd_histogram",
     "psnr",
     "quality_index",
-    "read_pgm",
     "rs_analysis",
     "save_pgm",
     "write_pgm",

@@ -1,6 +1,6 @@
-"""Stego quality and detectability metrics: PSNR, universal quality index
-and its 8x8 floor, bit rate, intensity and pixel-difference histograms, PDH
-correlation, RS analysis, and a deterministic CSV emitter for plotting."""
+"""Stego quality and detectability metrics: PSNR, universal quality index,
+bit rate, intensity and pixel-difference histograms, PDH correlation, RS
+analysis, each metric's size floor, and a deterministic CSV emitter."""
 
 from __future__ import annotations
 
@@ -30,6 +30,18 @@ def check_window(img: GrayImage | PgmFile, name="image") -> None:
     if not fits_window(img.height, img.width):
         size, floor = f"{img.height}x{img.width}", f"{Q_WINDOW}x{Q_WINDOW}"
         raise ImageTooSmallError(f"{name} is {size}, under {floor}: images must be at least {floor}")
+
+
+def check_rs_width(img: GrayImage | PgmFile, mask: np.ndarray) -> None:
+    """Raise ImageTooSmallError if ``img`` is narrower than one group of the :func:`rs_mask` ``mask``."""
+    if img.width < mask.size:
+        raise ImageTooSmallError(f"image width {img.width} is smaller than the group size {mask.size}")
+
+
+def check_pdh_width(img: GrayImage | PgmFile) -> None:
+    """Raise ImageTooSmallError if ``img`` has no horizontal pixel pair."""
+    if img.width < 2:
+        raise ImageTooSmallError("pixel-difference histogram needs width >= 2")
 
 
 def psnr(a: GrayImage | Reference, b: GrayImage) -> float:
@@ -158,11 +170,9 @@ def quality_index(a: GrayImage | Reference, b: GrayImage) -> float:
     n = Q_WINDOW * Q_WINDOW
     # A window wholly outside the band has b's terms equal to a's, so its
     # numerator and denominator are the same float and it scores exactly 1
-    # (a zero-variance one is degenerate and kept, also as 1): equal images
-    # score 1.0. Only window rows [wlo, whi) overlap the band, and they read
-    # pixel rows [wlo, whi + 7).
-    if lo == hi:
-        return 1.0
+    # (a zero-variance one is degenerate and kept, also as 1): equal images,
+    # whose band is empty, score 1.0. Only window rows [wlo, whi) overlap the
+    # band, and they read pixel rows [wlo, whi + 7).
     q = np.ones(sa.shape)
     wlo, whi = max(0, lo - Q_WINDOW + 1), min(sa.shape[0], hi)
     sa, var_a, sa2 = sa[wlo:whi], var_a[wlo:whi], sa2[wlo:whi]
@@ -234,8 +244,7 @@ def histogram_l1(a: GrayImage | Reference, b: GrayImage) -> float:
 
 def pd_histogram(img: GrayImage) -> np.ndarray:
     """(511,) int64 counts of right-neighbor differences d = pixel(r, c+1) - pixel(r, c), index d + 255."""
-    if img.width < 2:
-        raise ImageTooSmallError("pixel-difference histogram needs width >= 2")
+    check_pdh_width(img)
     return _pd_counts(img.pixels)
 
 
@@ -309,15 +318,13 @@ def rs_analysis(
     that differ from it are grouped; the fractions are the same.
     """
     mask = rs_mask(mask)
-    n = int(mask.size)
-    if img.width < n:
-        raise ImageTooSmallError(f"image width {img.width} is smaller than the group size {n}")
+    check_rs_width(img, mask)
     ref = Reference(img) if reference is None else reference
     lo, hi = ref.band(img)
     running = ref.rs_rows(mask)
     band = [np.count_nonzero(f) for f in _rs_flags(img.pixels[lo:hi], mask)]
     counts = (running[-1] - running[hi] + running[lo] + band).tolist()
-    groups = img.height * (img.width // n)
+    groups = img.height * (img.width // mask.size)
     r_m, s_m, r_neg_m, s_neg_m = (c / groups for c in counts)
     return {"rs_r_m": r_m, "rs_s_m": s_m, "rs_r_neg_m": r_neg_m, "rs_s_neg_m": s_neg_m,
             "rs_diff_m": abs(r_m - s_m), "rs_diff_neg_m": abs(r_neg_m - s_neg_m)}

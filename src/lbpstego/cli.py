@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -132,36 +133,42 @@ def cmd_metrics(args) -> None:
     with PgmFile(args.a) as pa, PgmFile(args.b) as pb:
         analysis.check_window(pa, args.a)
         analysis.check_window(pb, args.b)
-        a = analysis.Reference(GrayImage(pa.rows(pa.height)))  # one band scan and int32 copy for all metrics
-        b = GrayImage(pb.rows(pb.height))
+        a = analysis.Reference(pa.image())  # one band scan and int32 copy for all metrics
+        b = pb.image()
     values = {
         "psnr": analysis.psnr(a, b),
         "q_index": analysis.quality_index(a, b),
         "hist_l1": analysis.histogram_l1(a, b),
     }
+    _write_metrics(args, args.b, "pair", values)
     print(f"psnr: {values['psnr']:.2f} dB")
     print(f"q_index: {values['q_index']:.6f}")
     print(f"histogram_l1: {values['hist_l1']:.6f}")
-    _write_metrics(args, args.b, "pair", values)
 
 
 def cmd_rs(args) -> None:
     mask = _parse_mask(args.mask)
     _refuse_outputs(args, args.image)
-    values = analysis.rs_analysis(load_pgm(args.image), mask)
+    with PgmFile(args.image) as f:  # the floor is checked on the header, before the raster is read
+        analysis.check_rs_width(f, mask)
+        img = f.image()
+    values = analysis.rs_analysis(img, mask)
+    _write_metrics(args, args.image, "rs", values)
     for name, value in values.items():
         print(f"{name.removeprefix('rs_')}: {value:.6f}")
-    _write_metrics(args, args.image, "rs", values)
 
 
 def cmd_pdh(args) -> None:
     _refuse_outputs(args, args.image)
-    counts = analysis.pd_histogram(load_pgm(args.image))
+    with PgmFile(args.image) as f:  # the floor is checked on the header, before the raster is read
+        analysis.check_pdh_width(f)
+        img = f.image()
+    counts = analysis.pd_histogram(img)
+    values = {f"pdh_{i - analysis.MAX_DIFF}": count for i, count in enumerate(counts.tolist())}
+    _write_metrics(args, args.image, "pdh", values)
     peak = int(counts.argmax())
     print(f"pairs: {counts.sum()}")
     print(f"peak difference: {peak - analysis.MAX_DIFF} ({counts[peak]} pairs)")
-    values = {f"pdh_{i - analysis.MAX_DIFF}": count for i, count in enumerate(counts.tolist())}
-    _write_metrics(args, args.image, "pdh", values)
 
 
 def cmd_corpus(args) -> None:
@@ -236,24 +243,27 @@ def build_parser() -> argparse.ArgumentParser:
     def add_force(p):
         p.add_argument("--force", action="store_true", help="overwrite existing output files")
 
+    def add_mu(p):
+        p.add_argument("--mu", type=int, choices=codec.MU_VALUES, default=1, help="bits per carrier neighbor")
+
     p = sub.add_parser("embed", help="hide a payload image inside a cover image")
     p.add_argument("--cover", required=True, help="cover PGM file")
     p.add_argument("--payload", required=True, help="payload PGM file")
     p.add_argument("--out", required=True, help="stego PGM to write")
-    p.add_argument("--mu", type=int, choices=codec.MU_VALUES, default=1, help="bits per carrier neighbor")
+    add_mu(p)
     add_force(p)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("extract", help="recover the payload from a stego image")
     p.add_argument("--stego", required=True, help="stego PGM file")
     p.add_argument("--out", required=True, help="payload PGM to write")
-    p.add_argument("--mu", type=int, choices=codec.MU_VALUES, default=1, help="bits per carrier neighbor")
+    add_mu(p)
     add_force(p)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("capacity", help="print stream capacity of a cover")
     p.add_argument("--cover", required=True, help="cover PGM file")
-    p.add_argument("--mu", type=int, choices=codec.MU_VALUES, default=1, help="bits per carrier neighbor")
+    add_mu(p)
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("metrics", help="PSNR / quality index / histogram L1 of an image pair")
@@ -297,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="proposed,lsb1,lsbm,lsbmr",
         help=f"comma separated subset of {','.join(sweep.METHOD_NAMES)}",
     )
-    p.add_argument("--mu", type=int, choices=codec.MU_VALUES, default=1, help="bits per carrier neighbor")
+    add_mu(p)
     p.add_argument("--seed", type=int, default=0, help="seed for the baselines' RNG")
     p.add_argument("--csv", required=True, help="CSV file to write")
     add_force(p)
@@ -307,10 +317,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # --help prints, so a closed stdout can show here too
         args.func(args)
+        if sys.stdout is not None:  # None if fd 1 was closed at start, and print then drops its text
+            sys.stdout.flush()  # a closed stdout raises here, not in the interpreter's last flush
+    except BrokenPipeError:  # stdout's reader is gone, and every file is written: a quiet exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)  # the interpreter's last flush, of what stdout still buffers, goes nowhere
+        os.close(devnull)
+        return EXIT_OK
     except OutputExistsError as exc:
         return _fail(EXIT_EXISTS, str(exc))
     except FileNotFoundError as exc:

@@ -142,20 +142,6 @@ def _check_raster(raster_bytes: int, height: int, width: int) -> None:
         raise PgmTruncatedError(f"raster holds {raster_bytes} bytes, need {width * height}")
 
 
-def read_pgm(data: bytes) -> GrayImage:
-    """Decode binary 8-bit PGM (``P5``) bytes into a :class:`GrayImage`.
-
-    The reader is liberal about header whitespace and ``#`` comments but
-    requires maxval 255, a single whitespace byte before the raster, a header
-    of at most ``_MAX_HEADER`` bytes, and a raster of at least width*height
-    bytes.
-    """
-    height, width, offset = _header(data)
-    _check_raster(len(data) - offset, height, width)
-    px = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=offset)
-    return _adopt(px.reshape(height, width))
-
-
 def pgm_chunks(img: GrayImage) -> tuple[bytes, memoryview]:
     """The canonical ``P5`` encoding as two chunks: the header
     ``P5\\n<w> <h>\\n255\\n`` and a view of the raw raster."""
@@ -166,7 +152,7 @@ def write_pgm(img: GrayImage) -> bytes:
     """Encode to canonical ``P5`` bytes, the two :func:`pgm_chunks` joined.
 
     The output is byte-identical for equal images and round-trips through
-    :func:`read_pgm` exactly.
+    :func:`load_pgm` exactly.
     """
     return b"".join(pgm_chunks(img))
 
@@ -178,12 +164,14 @@ _HEAD_READ = 256
 class PgmFile:
     """An open PGM file whose raster is read on demand, a row block at a time.
 
-    Use it as a context manager. Opening reads and checks the header, and
-    checks that the file is long enough for the raster it announces, so
-    ``height`` and ``width`` are known before any pixel is read. Each
-    :meth:`rows` call reads its rows from the raster start; the reader keeps
-    none. A pipe or device reports no size, so one is read at open up to the
-    end of the raster its header announces, and then read like a file.
+    Use it as a context manager. Opening reads and checks the header (any
+    whitespace and ``#`` comments, maxval 255, one whitespace byte before the
+    raster, all within ``_MAX_HEADER`` bytes), and checks that the file is
+    long enough for the raster it announces, so ``height`` and ``width`` are
+    known before any pixel is read. Each :meth:`rows` call reads its rows
+    from the raster start; the reader keeps none. A pipe or device reports
+    no size, so one is read at open up to the end of the raster its header
+    announces, and then read like a file.
     """
 
     def __init__(self, path):
@@ -234,6 +222,10 @@ class PgmFile:
         make writable."""
         return np.asarray(memoryview(self._read(stop)).toreadonly())
 
+    def image(self) -> GrayImage:
+        """Every row, as a read-only :class:`GrayImage` over the buffer they were read into."""
+        return _adopt(self.rows(self.height))
+
     def close(self) -> None:
         self._file.close()
 
@@ -248,7 +240,7 @@ def load_pgm(path) -> GrayImage:
     """Read a PGM file into a read-only :class:`GrayImage` over the buffer
     its rows were read into."""
     with PgmFile(path) as f:
-        return _adopt(f.rows(f.height))
+        return f.image()
 
 
 def load_raster(path) -> np.ndarray:

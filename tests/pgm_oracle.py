@@ -1,7 +1,10 @@
-"""Byte-at-a-time PGM header scanner, the oracle for ``image._header_tokens``'s
-compiled pattern."""
+"""PGM oracles: a byte-at-a-time header scanner for ``image._header_tokens``'s
+compiled pattern, and a whole-buffer reader for ``image.PgmFile``."""
 
-from lbpstego.image import PgmFormatError
+import numpy as np
+
+from lbpstego import image
+from lbpstego.image import GrayImage, PgmFormatError
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
@@ -26,3 +29,13 @@ def header_tokens(data):
         if start == i:
             raise PgmFormatError("incomplete PGM header")
         yield bytes(data[start:i]), i
+
+
+def read_pgm(data) -> GrayImage:
+    """Decode binary 8-bit PGM (``P5``) bytes into a :class:`GrayImage` whose
+    pixels view ``data``: the whole-buffer reader that ``image.PgmFile`` must
+    agree with, message for message, however its reads are cut."""
+    height, width, offset = image._header(data)
+    image._check_raster(len(data) - offset, height, width)
+    px = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=offset)
+    return image._adopt(px.reshape(height, width))

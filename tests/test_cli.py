@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pgm_oracle import read_pgm
 
 from lbpstego import analysis, cli, codec, image, sweep, synth
 from lbpstego.cli import (
@@ -290,6 +291,41 @@ def test_metrics_checks_both_headers_before_reading_either_raster(tmp_path, caps
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, shape, message",
+    [
+        (["rs", "--mask", "0,1,1,-1,-1,0"], (5, 3), "image width 3 is smaller than the group size 6"),
+        (["pdh"], (5, 1), "pixel-difference histogram needs width >= 2"),
+    ],
+    ids=["rs", "pdh"],
+)
+def test_rs_and_pdh_check_the_header_before_reading_the_raster(tmp_path, capsys, monkeypatch, argv, shape, message):
+    image = tmp_path / "small.pgm"
+    save_pgm(image, GrayImage(np.full(shape, 100, dtype=np.uint8)))
+
+    def no_raster(*args, **kwargs):
+        raise AssertionError("a raster was read before the header was checked")
+
+    monkeypatch.setattr(cli, "load_pgm", no_raster)
+    monkeypatch.setattr(cli.PgmFile, "_read", no_raster)  # every raster read: rows, image, load_raster
+    assert main(argv + ["--image", str(image)]) == EXIT_CAPACITY
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["metrics", "rs", "pdh"])
+def test_analysis_commands_wrap_the_rows_they_read_without_a_copy(workspace, capsys, monkeypatch, command):
+    tmp, _, _ = workspace
+    cover = str(tmp / "cover.pgm")
+    argv = {"metrics": ["metrics", "--a", cover, "--b", cover], "rs": ["rs", "--image", cover],
+            "pdh": ["pdh", "--image", cover]}[command]
+
+    def no_copy(self):
+        raise AssertionError("a GrayImage was built, copying its pixels")
+
+    monkeypatch.setattr(GrayImage, "__post_init__", no_copy)
+    assert main(argv) == EXIT_OK
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_metrics_opens_each_input_once_so_pipes_work(workspace, capsys):
     """A pipe, such as a shell's ``<(...)``, can be read only once."""
@@ -499,7 +535,7 @@ def test_extract_reads_a_header_comment_longer_than_the_first_read(workspace):
     assert main(_embed_args(tmp, stego)) == EXIT_OK
     data = stego.read_bytes()
     stego.write_bytes(b"P5\n#" + b"c" * (3 * image._HEAD_READ) + data[2:])
-    assert load_pgm(stego) == image.read_pgm(data)
+    assert load_pgm(stego) == read_pgm(data)
     assert main(["extract", "--stego", str(stego), "--out", str(tmp / "back.pgm")]) == EXIT_OK
     assert (tmp / "back.pgm").read_bytes() == write_pgm(payload)
 

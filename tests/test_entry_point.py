@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lbpstego.cli import EXIT_FORMAT, EXIT_OK
+from lbpstego.cli import EXIT_FORMAT, EXIT_OK, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -49,3 +49,41 @@ def test_endless_device_is_refused_after_its_header_scan():
     reads on from taking the host's memory."""
     done = lbpstego("capacity", "--cover", "/dev/zero", memory_cap=1 << 30, timeout=60)
     assert (done.returncode, done.stderr[:37]) == (EXIT_FORMAT, "error: not a binary PGM stream (magic")
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("corpus")
+    assert main(["corpus", "--out-dir", str(out), "--count", "2", "--size", "32"]) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("stdout", ["buffered", "unbuffered", "closed-at-start"])
+@pytest.mark.parametrize("command", ["compare", "metrics", "rs", "pdh"])
+def test_a_closed_stdout_ends_a_command_quietly(tmp_path, corpus, command, stdout):
+    """A reader that is gone before the command prints, as after ``| head -c 1``,
+    is no fault: the CSV is written whole and the command exits 0 with nothing
+    on stderr, whether its prints meet the closed pipe at once or at the last
+    flush. So is a stdout closed before the interpreter starts (``>&-``)."""
+    covers = corpus / "covers"
+    argv = {
+        "compare": ["compare", "--cover-dir", covers, "--payload", corpus / "payload.pgm"],
+        "metrics": ["metrics", "--a", covers / "cover00.pgm", "--b", covers / "cover01.pgm"],
+        "rs": ["rs", "--image", covers / "cover00.pgm"],
+        "pdh": ["pdh", "--image", covers / "cover00.pgm"],
+    }[command]
+    assert main([*map(str, argv), "--csv", str(tmp_path / "normal.csv")]) == EXIT_OK
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run(
+            [sys.executable, *(["-u"] if stdout == "unbuffered" else []), "-m", "lbpstego", *map(str, argv),
+             "--csv", str(tmp_path / "closed.csv")],
+            env={**env, "PYTHONPATH": str(SRC)}, stdout=w, stderr=subprocess.PIPE, text=True, timeout=120,
+            preexec_fn=(lambda: os.close(1)) if stdout == "closed-at-start" else None,
+        )
+    finally:
+        os.close(w)
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert (tmp_path / "closed.csv").read_bytes() == (tmp_path / "normal.csv").read_bytes()

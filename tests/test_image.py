@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from pgm_oracle import header_tokens
+from pgm_oracle import header_tokens, read_pgm
 
 from lbpstego import image
 from lbpstego.image import (
@@ -26,7 +26,6 @@ from lbpstego.image import (
     load_pgm,
     load_raster,
     pgm_chunks,
-    read_pgm,
     save_pgm,
     write_pgm,
 )
@@ -482,12 +481,14 @@ def test_load_pgm_of_a_pipe_is_read_pgm_of_its_bytes(data):
 def _file_writes(tree):
     """Line numbers of the calls in ``tree`` that write files: ``open`` with a
     ``w``, ``x`` or ``a`` mode (or a mode not spelled out), ``os.replace`` and
-    ``os.fchmod``."""
+    ``os.fchmod``. An ``open`` of ``os.devnull`` keeps nothing and writes no file."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "open" and node.args and ast.unparse(node.args[0]) == "os.devnull":
+            continue
         if name == "open":
             mode = node.args[1] if len(node.args) > 1 else next(
                 (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
@@ -506,3 +507,36 @@ def test_only_image_writes_files():
     writes = {p.name: list(_file_writes(ast.parse(p.read_text()))) for p in sorted(src.glob("*.py"))}
     assert writes["image.py"]  # the pin finds the writer it guards
     assert {name: lines for name, lines in writes.items() if lines and name != "image.py"} == {}
+
+
+def _header_parser_users(tree):
+    """The top-level definition around each use in ``tree`` of ``_header`` or
+    ``_check_raster``, the header parser and the raster-size check."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in ("_header", "_check_raster"):
+                yield getattr(top, "name", None)
+
+
+def test_only_pgm_file_parses_a_pgm():
+    """``PgmFile`` is the package's one PGM reader: no other code parses a
+    header or checks a raster's size; ``load_pgm`` and ``load_raster`` wrap it."""
+    src = Path(image.__file__).parent
+    users = {p.name: sorted(set(_header_parser_users(ast.parse(p.read_text())))) for p in sorted(src.glob("*.py"))}
+    assert {name: found for name, found in users.items() if found} == {"image.py": ["PgmFile"]}
+
+
+def test_pgm_file_image_wraps_the_rows_it_reads_without_a_copy(tmp_path, monkeypatch):
+    img = GrayImage(np.arange(12, dtype=np.uint8).reshape(3, 4))
+    save_pgm(tmp_path / "a.pgm", img)
+    read, rows = [], PgmFile.rows
+
+    def recording_rows(self, stop):
+        read.append(rows(self, stop))
+        return read[-1]
+
+    monkeypatch.setattr(PgmFile, "rows", recording_rows)
+    with PgmFile(tmp_path / "a.pgm") as f:
+        got = f.image()
+    assert got == img and got.pixels is read[0] and not got.pixels.flags.writeable
