@@ -13,7 +13,7 @@ from .analysis import (
     quality_index,
     rs_analysis,
 )
-from .baselines import BaselineMethod, baseline_embed, baseline_extract
+from .baselines import BaselineMethod, baseline_embed
 from .codec import (
     CapacityError,
     CorruptStreamError,
@@ -41,7 +41,6 @@ __all__ = [
     "Reference",
     "StegoParams",
     "baseline_embed",
-    "baseline_extract",
     "bit_rate",
     "capacity",
     "embed",

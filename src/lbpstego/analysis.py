@@ -32,6 +32,12 @@ def check_window(img: GrayImage | PgmFile, name="image") -> None:
         raise ImageTooSmallError(f"{name} is {size}, under {floor}: images must be at least {floor}")
 
 
+def check_same_size(a: GrayImage | PgmFile, b: GrayImage | PgmFile) -> None:
+    """Raise ValueError if ``a`` and ``b`` differ in height or width."""
+    if (a.height, a.width) != (b.height, b.width):
+        raise ValueError(f"image sizes differ: {a.height}x{a.width} vs {b.height}x{b.width}")
+
+
 def check_rs_width(img: GrayImage | PgmFile, mask: np.ndarray) -> None:
     """Raise ImageTooSmallError if ``img`` is narrower than one group of the :func:`rs_mask` ``mask``."""
     if img.width < mask.size:
@@ -108,12 +114,10 @@ class Reference:
         """Rows ``[lo, hi)`` outside which ``other`` equals this image, (0, 0) if
         it equals it everywhere; the result for the last image asked about is
         kept. Raises ValueError if the sizes differ."""
-        a = self.image
-        if a.pixels.shape != other.pixels.shape:
-            raise ValueError(f"image sizes differ: {a.height}x{a.width} vs {other.height}x{other.width}")
+        check_same_size(self.image, other)
         last, band = self._last_band
         if last is not other:
-            rows = np.flatnonzero((a.pixels != other.pixels).any(axis=1))
+            rows = np.flatnonzero((self.image.pixels != other.pixels).any(axis=1))
             band = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
             self._last_band = (other, band)
         return band

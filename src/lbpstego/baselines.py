@@ -64,34 +64,14 @@ def baseline_embed(cover: GrayImage, bits, method: BaselineMethod) -> GrayImage:
     return GrayImage(flat.reshape(cover.pixels.shape))
 
 
-def baseline_extract(stego: GrayImage, bit_count: int, method: BaselineMethod) -> np.ndarray:
-    """Read back ``bit_count`` bits as a uint8 0/1 array."""
-    if bit_count < 0 or bit_count > method.capacity_bits(stego):
-        raise ValueError(f"bit_count {bit_count} exceeds capacity")
-    flat = stego.pixels.reshape(-1)
-    if method.kind == "lsbmr":
-        return _extract_pairs(flat, bit_count)
-    return _extract_replace(flat, bit_count, method.k if method.kind == "lsb" else 1)
-
-
-def _bit_planes(flat: np.ndarray, count: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The uint8 (ceil(count / k), k) low bit planes of the leading pixels,
-    highest replaced bit first, and the shift of each plane."""
-    shifts = np.arange(k - 1, -1, -1, dtype=np.uint8)
-    return (flat[: -(-count // k), None] >> shifts) & 1, shifts
-
-
-def _extract_replace(flat: np.ndarray, count: int, k: int) -> np.ndarray:
-    planes, _ = _bit_planes(flat, count, k)
-    return planes.reshape(-1)[:count]
-
-
 def _embed_replace(flat: np.ndarray, bits: np.ndarray, k: int) -> None:
-    """Overwrite the planes :func:`_extract_replace` reads; a partial chunk
-    takes the highest replaced positions and keeps the rest of its pixel."""
-    planes, shifts = _bit_planes(flat, bits.size, k)
+    """k-bit replacement in place on the uint8 prefix of ``flat``: each pixel's
+    k low bit planes take the next k bits, highest replaced bit first; a partial
+    chunk takes the highest replaced positions and keeps the rest of its pixel."""
+    shifts = np.arange(k - 1, -1, -1, dtype=np.uint8)
+    n = -(-bits.size // k)
+    planes = (flat[:n, None] >> shifts) & 1
     planes.reshape(-1)[: bits.size] = bits
-    n = len(planes)
     flat[:n] = (flat[:n] >> k << k) | planes @ (1 << shifts)
 
 
@@ -139,11 +119,3 @@ def _embed_pairs(flat: np.ndarray, bits: np.ndarray, seed: int) -> None:
     pairs[:, 0] = x1
     pairs[:, 1] = x2
 
-
-def _extract_pairs(flat: np.ndarray, count: int) -> np.ndarray:
-    end = count + count % 2
-    x1, x2 = flat[0:end:2], flat[1:end:2]
-    bits = np.empty(end, dtype=np.uint8)
-    bits[0::2] = x1 & 1
-    bits[1::2] = _pair_bit(x1, x2)
-    return bits[:count]

@@ -41,8 +41,21 @@ class OutputExistsError(Exception):
         super().__init__(f"{path} exists; pass --force to overwrite")
 
 
+def _discard(fd: int) -> None:
+    """Point ``fd`` at the null device, so that the interpreter's last flush of its stream goes nowhere."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    if devnull != fd:  # a closed ``fd`` is the lowest free one, and then the null device already is ``fd``
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
 def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
+    """``code``, after the error line on stderr; a closed stderr loses the line but not the code."""
+    if sys.stderr is not None:  # None if fd 2 was closed at start, and print would then write to stdout
+        try:
+            print(f"error: {message}", file=sys.stderr)
+        except OSError:  # fd 2 is closed or not writable
+            _discard(2)
     return code
 
 
@@ -133,6 +146,7 @@ def cmd_metrics(args) -> None:
     with PgmFile(args.a) as pa, PgmFile(args.b) as pb:
         analysis.check_window(pa, args.a)
         analysis.check_window(pb, args.b)
+        analysis.check_same_size(pa, pb)
         a = analysis.Reference(pa.image())  # one band scan and int32 copy for all metrics
         b = pb.image()
     values = {
@@ -218,6 +232,8 @@ def cmd_compare(args) -> None:
         raise OSError(f"no .pgm covers found in {cover_dir}")
     for p in paths:  # every cover's name and header are checked before any raster is read
         analysis.csv_field(p.name)
+        if not p.is_file():  # opening a FIFO would block until a writer came
+            raise OSError(f"{p}: not a regular file")
         with PgmFile(p) as cover:
             analysis.check_window(cover, p)
     payload = load_pgm(args.payload)
@@ -323,9 +339,7 @@ def main(argv=None) -> int:
         if sys.stdout is not None:  # None if fd 1 was closed at start, and print then drops its text
             sys.stdout.flush()  # a closed stdout raises here, not in the interpreter's last flush
     except BrokenPipeError:  # stdout's reader is gone, and every file is written: a quiet exit
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, 1)  # the interpreter's last flush, of what stdout still buffers, goes nowhere
-        os.close(devnull)
+        _discard(1)
         return EXIT_OK
     except OutputExistsError as exc:
         return _fail(EXIT_EXISTS, str(exc))

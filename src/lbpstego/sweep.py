@@ -92,16 +92,12 @@ def metric_rows(
     name: str,
     method: str,
     rate: float,
-    cover: GrayImage | analysis.Reference,
+    ref: analysis.Reference,
     stego: GrayImage,
     embedded_bits: int,
 ) -> list[analysis.MetricRow]:
-    """All sweep metrics for one (image, method, rate) cell, in fixed order.
-
-    Pass the cover as an :class:`analysis.Reference` to share its statistics
-    between cells.
-    """
-    ref = analysis.Reference.of(cover)
+    """All sweep metrics for one (image, method, rate) cell, in fixed order,
+    against ``ref``, the cover's :class:`analysis.Reference` that its cells share."""
     values = {
         "psnr": analysis.psnr(ref, stego),
         "q_index": analysis.quality_index(ref, stego),

@@ -1,6 +1,11 @@
-"""Per-pair reference for LSB matching revisited, the oracle for the array path."""
+"""Test-side references for the baselines: the per-pair LSB matching revisited
+embed and decode loops, the oracle for the array embed, and the baselines'
+decoder, which reads back what ``baselines.baseline_embed`` hides."""
 
 import numpy as np
+
+from lbpstego.baselines import BaselineMethod
+from lbpstego.image import GrayImage
 
 
 def _inward_step(value: int, rng: np.random.Generator) -> int:
@@ -44,3 +49,17 @@ def _extract_pairs(flat: np.ndarray, count: int) -> np.ndarray:
         if i + 1 < count:
             bits[i + 1] = (x1 // 2 + x2) & 1
     return bits
+
+
+def baseline_extract(stego: GrayImage, bit_count: int, method: BaselineMethod) -> np.ndarray:
+    """Read back ``bit_count`` bits as a uint8 0/1 array: the pair loop for
+    ``lsbmr``, else k low bit planes per pixel (k = 1 for ``lsbm``), highest
+    replaced bit first."""
+    if bit_count < 0 or bit_count > method.capacity_bits(stego):
+        raise ValueError(f"bit_count {bit_count} exceeds capacity")
+    flat = stego.pixels.reshape(-1)
+    if method.kind == "lsbmr":
+        return _extract_pairs(flat, bit_count)
+    k = method.k if method.kind == "lsb" else 1
+    shifts = np.arange(k - 1, -1, -1, dtype=np.uint8)
+    return ((flat[: -(-bit_count // k), None] >> shifts) & 1).reshape(-1)[:bit_count]

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from baseline_oracle import baseline_extract
 from block_oracle import _block_stack
 
 from lbpstego import synth
@@ -23,7 +24,7 @@ from lbpstego.analysis import (
     quality_index,
     rs_analysis,
 )
-from lbpstego.baselines import BaselineMethod, baseline_embed, baseline_extract
+from lbpstego.baselines import BaselineMethod, baseline_embed
 from lbpstego.codec import (
     HEADER_BYTES,
     StegoParams,

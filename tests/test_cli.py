@@ -291,6 +291,21 @@ def test_metrics_checks_both_headers_before_reading_either_raster(tmp_path, caps
     assert captured.out == ""
 
 
+def test_metrics_checks_both_sizes_on_the_headers(tmp_path, capsys, monkeypatch):
+    a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
+    save_pgm(a, synth.smooth_cover((32, 32), seed=1))
+    save_pgm(b, synth.smooth_cover((8, 16), seed=2))
+
+    def no_raster(*args, **kwargs):
+        raise AssertionError("a raster was read before both sizes were compared")
+
+    monkeypatch.setattr(cli, "load_pgm", no_raster)
+    monkeypatch.setattr(cli.PgmFile, "rows", no_raster)
+    assert main(["metrics", "--a", str(a), "--b", str(b), "--csv", str(tmp_path / "m.csv")]) == 2
+    assert capsys.readouterr() == ("", "error: image sizes differ: 32x32 vs 8x16\n")
+    assert not (tmp_path / "m.csv").exists()
+
+
 @pytest.mark.parametrize(
     "argv, shape, message",
     [

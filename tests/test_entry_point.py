@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lbpstego.cli import EXIT_FORMAT, EXIT_OK, main
+from lbpstego.cli import EXIT_FORMAT, EXIT_IO, EXIT_OK, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -51,6 +51,31 @@ def test_endless_device_is_refused_after_its_header_scan():
     assert (done.returncode, done.stderr[:37]) == (EXIT_FORMAT, "error: not a binary PGM stream (magic")
 
 
+def _close_stderr(fd2):
+    """A ``preexec_fn`` that closes fd 2, then with ``fd2="read-only"`` opens the
+    null device read-only in its place, as a launcher that opens a file on the
+    freed fd 2 leaves it (``2>&-`` through a shell-script shim)."""
+
+    def close():
+        os.close(2)
+        if fd2 == "read-only":
+            os.open(os.devnull, os.O_RDONLY)
+
+    return close
+
+
+@pytest.mark.parametrize("fd2", ["closed", "read-only"])
+@pytest.mark.parametrize("command, code", [("rs", EXIT_IO), ("pdh", EXIT_FORMAT)])
+def test_a_closed_stderr_keeps_the_exit_code(tmp_path, command, code, fd2):
+    """With stderr closed (``2>&-``) the error line is lost, but the command
+    still exits with its documented code and prints nothing else."""
+    image = tmp_path / "image.pgm"
+    if code == EXIT_FORMAT:
+        image.write_bytes(b"P2\n1 1\n255\n0\n")
+    done = lbpstego(command, "--image", image, preexec_fn=_close_stderr(fd2), timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (code, "", "")
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
@@ -87,3 +112,24 @@ def test_a_closed_stdout_ends_a_command_quietly(tmp_path, corpus, command, stdou
         os.close(w)
     assert (done.returncode, done.stderr) == (EXIT_OK, "")
     assert (tmp_path / "closed.csv").read_bytes() == (tmp_path / "normal.csv").read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("kind", ["fifo", "directory"])
+def test_compare_refuses_a_cover_that_is_not_a_regular_file(tmp_path, corpus, kind):
+    """A FIFO among the covers is refused on the header pass, not opened: with
+    no writer the open would block for good. A directory gets the same refusal."""
+    covers = tmp_path / "covers"
+    covers.mkdir()
+    (covers / "a.pgm").write_bytes((corpus / "covers" / "cover00.pgm").read_bytes())
+    odd = covers / "b.pgm"
+    if kind == "fifo":
+        os.mkfifo(odd)
+    else:
+        odd.mkdir()
+    out = tmp_path / "sweep.csv"
+    done = lbpstego(
+        "compare", "--cover-dir", covers, "--payload", corpus / "payload.pgm", "--csv", out, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_IO, "", f"error: {odd}: not a regular file\n")
+    assert not out.exists()
