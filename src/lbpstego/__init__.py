@@ -15,6 +15,7 @@ from .analysis import (
 )
 from .baselines import BaselineMethod, baseline_embed
 from .codec import (
+    NEIGHBOR_OFFSETS,
     CapacityError,
     CorruptStreamError,
     CoverTooSmallError,
@@ -25,7 +26,6 @@ from .codec import (
     max_payload_bytes,
 )
 from .image import GrayImage, PgmError, PgmFile, load_pgm, save_pgm, write_pgm
-from .lbp import NEIGHBOR_OFFSETS
 
 __all__ = [
     "BaselineMethod",

@@ -12,7 +12,17 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, codec, sweep, synth
-from .image import GrayImage, PgmError, PgmFile, load_pgm, load_raster, pgm_chunks, save_chunks, write_pgm
+from .image import (
+    GrayImage,
+    PgmError,
+    PgmFile,
+    check_directory,
+    load_pgm,
+    load_raster,
+    pgm_chunks,
+    save_chunks,
+    write_pgm,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2  # argparse's own code for bad flags
@@ -60,15 +70,24 @@ def _fail(code: int, message: str) -> int:
 
 
 def _refuse_existing(paths, force: bool) -> None:
-    """Raise OutputExistsError if a path in ``paths``, None aside, exists and ``force`` is off."""
+    """Raise OutputExistsError if a path in ``paths`` exists and ``force`` is off."""
     for path in paths:
-        if not force and path is not None and Path(path).exists():
+        if not force and Path(path).exists():
             raise OutputExistsError(path)
 
 
+def _refuse_output(path, force: bool) -> None:
+    """Refuse ``path``, None aside, before any input is read: if it exists and
+    ``force`` is off, or if no directory holds it."""
+    if path is not None:
+        _refuse_existing([path], force)
+        check_directory(path)
+
+
 def _refuse_outputs(args, image: str) -> None:
-    """Refuse an existing ``--csv``, and an ``image`` name no CSV field can hold, before any input is read."""
-    _refuse_existing([args.csv], args.force)
+    """Refuse ``--csv`` as :func:`_refuse_output` does, and an ``image`` name no CSV field
+    can hold, before any input is read."""
+    _refuse_output(args.csv, args.force)
     if args.csv is not None:
         analysis.csv_field(Path(image).name)
 
@@ -110,7 +129,7 @@ def _parse_mask(text: str) -> np.ndarray:
 
 
 def cmd_embed(args) -> None:
-    _refuse_existing([args.out], args.force)
+    _refuse_output(args.out, args.force)
     cover = load_raster(args.cover)  # not needed again: the stego is written into it
     payload = load_pgm(args.payload)
     params = codec.StegoParams(args.mu)
@@ -124,7 +143,7 @@ def cmd_embed(args) -> None:
 
 
 def cmd_extract(args) -> None:
-    _refuse_existing([args.out], args.force)
+    _refuse_output(args.out, args.force)
     with PgmFile(args.stego) as stego:  # extract reads only the rows its stream occupies
         payload = codec.extract(stego, codec.StegoParams(args.mu))
     save_chunks(args.out, [write_pgm(payload)])
@@ -225,7 +244,7 @@ def cmd_compare(args) -> None:
         "rate", args.rates, lambda tok: sweep.check_rate(_parse_number("--rates", tok, float))
     )
     _check_seed(args.seed)
-    _refuse_existing([args.csv], args.force)
+    _refuse_output(args.csv, args.force)
     cover_dir = Path(args.cover_dir)
     paths = sorted(cover_dir.glob("*.pgm"))
     if not paths:
@@ -345,8 +364,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_EXISTS, str(exc))
     except FileNotFoundError as exc:
         return _fail(EXIT_IO, f"cannot read {exc.filename}")
-    except OSError as exc:
-        return _fail(EXIT_IO, str(exc))
+    except OSError as exc:  # the package's own messages carry no filename
+        return _fail(EXIT_IO, str(exc) if exc.filename is None else f"{exc.filename}: {exc.strerror}")
     except PgmError as exc:
         return _fail(EXIT_FORMAT, str(exc))
     except (codec.CapacityError, codec.CoverTooSmallError, analysis.ImageTooSmallError) as exc:

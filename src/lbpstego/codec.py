@@ -20,21 +20,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import GrayImage, PgmFile, _adopt
-from .lbp import NEIGHBOR_OFFSETS, lbp_codes
 
 HEADER_BYTES = 4
 MAX_PAYLOAD_SIDE = 0xFFFF
 MU_VALUES = (1, 2, 3, 4)
 
+# The block layout below is part of the stego format: extract recomputes each
+# block's pattern from the stego alone, so changing any of it breaks every
+# existing stego.
+
+# Ring order around the center: right first, then counterclockwise.
+NEIGHBOR_OFFSETS = ((0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1))
 # (row, col) of each ring neighbor inside a 3x3 block, in NEIGHBOR_OFFSETS order.
 _RING_POS = tuple((1 + dr, 1 + dc) for dr, dc in NEIGHBOR_OFFSETS)
 # A block's ring, gathered into one 8-byte row, is read as one little-endian
 # word whose byte q is ring neighbor q.
 _WORD = np.dtype("<u8")
 _ONES = np.uint64(0x0101010101010101)
-# A word of eight 0/1 bytes times _SWAP_PACK has byte q's bit at bit
-# 63 - (q ^ 1): the top byte is the pair shuffle of the word's lbp.PACK pattern.
-# The partial products are distinct powers of two, so nothing carries.
+# A word of eight 0/1 bytes times PACK has byte q's bit at bit 63 - q, and
+# times _SWAP_PACK at bit 63 - (q ^ 1), so the top byte is the pattern, or its
+# pair shuffle. The partial products are distinct powers of two: nothing carries.
+PACK = np.uint64(0x8040201008040201)
 _SWAP_PACK = np.uint64(0x4080102004080102)
 
 _PAIR_LO = 0b01010101
@@ -98,6 +104,24 @@ _SPREAD = (
     .view(_WORD)
     .reshape(-1)
 )
+
+
+def lbp_codes(centers: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+    """8-bit patterns of ``centers`` against ``neighbors`` (n, 8), as a
+    strided uint8 view.
+
+    ``centers`` is (n,), or (n, 8) with each center repeated along its row,
+    which compares without broadcasting.
+
+    Bit ``7 - q`` is 1 iff the center is >= neighbor column ``q`` (ties count
+    as 1). Columns follow ``NEIGHBOR_OFFSETS`` order, so the right neighbor
+    decides the most significant bit.
+    """
+    ge = np.empty(neighbors.shape, dtype=bool)
+    np.greater_equal(centers[:, None] if centers.ndim == 1 else centers, neighbors, out=ge)
+    words = ge.view(_WORD).reshape(-1)
+    words *= PACK
+    return words.view(np.uint8)[7::8]  # the top byte of each product
 
 
 def sync_neighbor(center, cover_value, stego_value, mu: int):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import io
 import os
 import re
@@ -250,6 +252,26 @@ def load_raster(path) -> np.ndarray:
         return f._read(f.height)
 
 
+@contextlib.contextmanager
+def _write_errors(path):
+    """Raise any OSError inside as ``cannot write <path>: <reason>``."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise OSError(f"cannot write {path}: no such directory") from None
+    except OSError as exc:  # the reason alone: the temp file's name means nothing to the caller
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def check_directory(path) -> None:
+    """Raise the OSError :func:`save_chunks` would raise for ``path`` if no
+    directory holds it; a symlink is written through, so its target's counts."""
+    target = Path(os.path.realpath(path) if os.path.islink(path) else path)
+    with _write_errors(path):
+        if not stat.S_ISDIR(os.stat(target.parent).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+
+
 def save_chunks(path, chunks) -> None:
     """Write the bytes-like ``chunks`` in turn beside ``path`` and rename the
     result over ``path``, so a failed write leaves no partial file. A symlink
@@ -257,7 +279,7 @@ def save_chunks(path, chunks) -> None:
     must be a regular file and keeps its mode. Failures raise ``OSError``
     ``cannot write <path>: <reason>``."""
     target = Path(path)
-    try:
+    with _write_errors(path):
         try:
             st = os.lstat(target)
             if stat.S_ISLNK(st.st_mode):  # write through a symlink, as a plain write does
@@ -279,10 +301,6 @@ def save_chunks(path, chunks) -> None:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
-    except FileNotFoundError:
-        raise OSError(f"cannot write {path}: no such directory") from None
-    except OSError as exc:  # the reason alone: the temp file's name means nothing to the caller
-        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def save_pgm(path, img: GrayImage) -> None:

@@ -3,9 +3,8 @@ block coordinates, the per-block embedder, and the block-stack decoder."""
 
 import numpy as np
 
-from lbpstego.codec import StegoParams, shuffle_byte, sync_neighbor
+from lbpstego.codec import NEIGHBOR_OFFSETS, StegoParams, lbp_codes, shuffle_byte, sync_neighbor
 from lbpstego.image import GrayImage
-from lbpstego.lbp import NEIGHBOR_OFFSETS, lbp_codes
 
 # Positions of the ring neighbors inside a 3x3 block, in NEIGHBOR_OFFSETS order.
 _RING_ROWS, _RING_COLS = 1 + np.array(NEIGHBOR_OFFSETS).T

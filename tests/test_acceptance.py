@@ -32,11 +32,11 @@ from lbpstego.codec import (
     clamp_cover,
     embed,
     extract,
+    lbp_codes,
     max_payload_shape,
     sync_neighbor,
 )
 from lbpstego.image import GrayImage
-from lbpstego.lbp import lbp_codes
 from lbpstego.sweep import embed_at_rate, pdh_correlation
 
 ARTIFACTS = Path(__file__).resolve().parent.parent / "artifacts"

@@ -310,6 +310,37 @@ def test_only_analysis_raises_image_too_small():
     assert {name: lines for name, lines in raises.items() if lines and name != "analysis.py"} == {}
 
 
+_LAYOUT = {"NEIGHBOR_OFFSETS", "PACK", "_SWAP_PACK", "_SPREAD"}
+
+
+def _layout_assigned(tree):
+    """The block-layout names that ``tree`` assigns."""
+    for node in ast.walk(tree):
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        yield from (t.id for t in targets if isinstance(t, ast.Name) and t.id in _LAYOUT)
+
+
+def _imported(tree):
+    """Every module name that ``tree`` imports, and each name imported from one."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            yield from (f"{node.module or ''}.{alias.name}" for alias in node.names)
+
+
+def test_only_codec_defines_the_block_layout():
+    """The ring order and the pattern's bit packing are part of the stego
+    format, so one module, ``codec``, assigns them, and no module imports ``lbp``."""
+    src = Path(analysis.__file__).parent
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    assigned = {name: set(_layout_assigned(tree)) for name, tree in trees.items()}
+    assert {name: names for name, names in assigned.items() if names} == {"codec.py": _LAYOUT}
+    lbp = {name for name, tree in trees.items() for module in _imported(tree) if "lbp" in module.split(".")}
+    assert lbp == set()
+
+
 @pytest.mark.parametrize(
     "shape, kwargs, message",
     [

@@ -633,6 +633,69 @@ def test_missing_output_directory_names_the_target(workspace, capsys):
     assert capsys.readouterr().err == f"error: cannot write {out}: no such directory\n"
 
 
+@pytest.mark.parametrize("parent", ["missing", "cover.pgm"], ids=["missing-dir", "file-as-dir"])
+@pytest.mark.parametrize("command", ["embed", "extract", "metrics", "rs", "pdh", "compare"])
+def test_an_output_in_no_directory_is_refused_before_any_input_is_read(
+    workspace, capsys, monkeypatch, command, parent
+):
+    tmp, cover, _ = workspace
+    covers = tmp / "covers"
+    covers.mkdir()
+    save_pgm(covers / "a.pgm", cover)
+    before = sorted(tmp.rglob("*"))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output's directory was checked")
+
+    for attr in ("load_pgm", "load_raster", "PgmFile", "save_chunks"):
+        monkeypatch.setattr(cli, attr, no_work)
+    monkeypatch.setattr(cli.sweep, "run_sweep", no_work)
+    out, image = tmp / parent / "out", str(tmp / "cover.pgm")
+    argv = {
+        "embed": _embed_args(tmp, out),
+        "extract": ["extract", "--stego", image, "--out", str(out)],
+        "metrics": ["metrics", "--a", image, "--b", image, "--csv", str(out)],
+        "rs": ["rs", "--image", image, "--csv", str(out)],
+        "pdh": ["pdh", "--image", image, "--csv", str(out)],
+        "compare": ["compare", "--cover-dir", str(covers), "--payload", str(tmp / "payload.pgm"), "--csv", str(out)],
+    }[command]
+    reason = "no such directory" if parent == "missing" else os.strerror(errno.ENOTDIR)
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}\n")
+    assert sorted(tmp.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("embed", "--cover"), ("embed", "--payload"), ("extract", "--stego"), ("capacity", "--cover"),
+     ("metrics", "--a"), ("metrics", "--b"), ("rs", "--image"), ("pdh", "--image"),
+     ("compare", "--payload"), ("corpus", "--out-dir")],
+)
+def test_an_os_error_names_its_path(workspace, capsys, command, flag):
+    """A directory given for a PGM, or a file given for corpus's directory,
+    fails with the path the OS names and its reason, not errno's repr."""
+    tmp, cover, _ = workspace
+    covers, directory, file = tmp / "covers", tmp / "dir.pgm", tmp / "cover.pgm"
+    covers.mkdir()
+    directory.mkdir()
+    save_pgm(covers / "a.pgm", cover)
+    image, payload, out = str(file), str(tmp / "payload.pgm"), str(tmp / "out")
+    argv = {
+        "embed": ["embed", "--cover", image, "--payload", payload, "--out", out],
+        "extract": ["extract", "--stego", image, "--out", out],
+        "capacity": ["capacity", "--cover", image],
+        "metrics": ["metrics", "--a", image, "--b", image],
+        "rs": ["rs", "--image", image],
+        "pdh": ["pdh", "--image", image],
+        "compare": ["compare", "--cover-dir", str(covers), "--payload", payload, "--csv", out],
+        "corpus": _corpus_args(file),
+    }[command]
+    argv[argv.index(flag) + 1] = str(file if command == "corpus" else directory)
+    assert main(argv) == EXIT_IO
+    expected = f"{file}/covers: Not a directory" if command == "corpus" else f"{directory}: Is a directory"
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
 def test_force_writes_through_a_symlink(workspace):
     tmp, _, _ = workspace
     real, link = tmp / "real.pgm", tmp / "link.pgm"

@@ -7,6 +7,7 @@ from block_oracle import block_center, embed_block, lsb_mask, sync_step
 from lbpstego import codec, synth
 from lbpstego.codec import (
     HEADER_BYTES,
+    PACK,
     CapacityError,
     CorruptStreamError,
     CoverTooSmallError,
@@ -21,7 +22,6 @@ from lbpstego.codec import (
     sync_neighbor,
 )
 from lbpstego.image import GrayImage, write_pgm
-from lbpstego.lbp import PACK
 
 
 def gray(rows):
@@ -97,6 +97,9 @@ class TestSwapPack:
         plain = (words * PACK) >> np.uint64(56)
         assert np.array_equal(swapped, shuffle_byte(plain))
         assert sorted(plain.tolist()) == list(range(256))
+        # embed's spread and extract's pack are inverses
+        spread = (codec._SPREAD * codec._SWAP_PACK) >> np.uint64(56)
+        assert spread.tolist() == list(range(256))
 
 
 class TestSlabs:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lbpstego.image import GrayImage
-from lbpstego.lbp import NEIGHBOR_OFFSETS, PACK, lbp_codes
+from lbpstego.codec import NEIGHBOR_OFFSETS, PACK, lbp_codes
 
 
 def block_image(center, ring):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lbpstego import codec
 from lbpstego.codec import (
     HEADER_BYTES,
+    NEIGHBOR_OFFSETS,
     StegoParams,
     CorruptStreamError,
     capacity,
@@ -20,7 +21,6 @@ from lbpstego.codec import (
     _decode_stream,
 )
 from lbpstego.image import GrayImage
-from lbpstego.lbp import NEIGHBOR_OFFSETS
 
 # Values at and next to the ends of the byte range and of the clamp bounds.
 EDGE_VALUES = (0, 1, 2, 127, 128, 253, 254, 255)
