@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -16,7 +17,7 @@ from .image import (
     GrayImage,
     PgmError,
     PgmFile,
-    check_directory,
+    check_output,
     load_pgm,
     load_raster,
     pgm_chunks,
@@ -78,10 +79,10 @@ def _refuse_existing(paths, force: bool) -> None:
 
 def _refuse_output(path, force: bool) -> None:
     """Refuse ``path``, None aside, before any input is read: if it exists and
-    ``force`` is off, or if no directory holds it."""
+    ``force`` is off, or if :func:`check_output` refuses it, as the write would."""
     if path is not None:
         _refuse_existing([path], force)
-        check_directory(path)
+        check_output(path)
 
 
 def _refuse_outputs(args, image: str) -> None:
@@ -212,11 +213,20 @@ def cmd_corpus(args) -> None:
     paths = [covers / f"cover{i:02d}.pgm" for i in range(args.count)]
     paths.append(covers.parent / "payload.pgm")
     _refuse_existing(paths, args.force)
-    images = synth.corpus(args.count, (args.size, args.size), seed=args.seed)
-    rng = np.random.default_rng(args.seed + 1)
-    half = args.size // 2
-    images.append(GrayImage(rng.integers(0, 256, (half, half), dtype=np.uint8)))
-    covers.mkdir(parents=True, exist_ok=True)
+    made = [d for d in (covers, *covers.parents) if not d.exists()]  # innermost first
+    covers.mkdir(parents=True, exist_ok=True)  # before the render, so that each output is checked first
+    for path in paths:
+        check_output(path)
+    try:
+        images = synth.corpus(args.count, (args.size, args.size), seed=args.seed)
+        rng = np.random.default_rng(args.seed + 1)
+        half = args.size // 2
+        images.append(GrayImage(rng.integers(0, 256, (half, half), dtype=np.uint8)))
+    except BaseException:  # a failed render (say, out of memory) leaves behind no directory it made
+        for d in made:
+            with contextlib.suppress(OSError):  # one that another process wrote into stays
+                d.rmdir()
+        raise
     for path, img in zip(paths, images):
         save_chunks(path, [write_pgm(img)])
     print(f"wrote {args.count} covers to {covers} and {paths[-1]}")

@@ -263,21 +263,11 @@ def _write_errors(path):
         raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def check_directory(path) -> None:
-    """Raise the OSError :func:`save_chunks` would raise for ``path`` if no
-    directory holds it; a symlink is written through, so its target's counts."""
-    target = Path(os.path.realpath(path) if os.path.islink(path) else path)
-    with _write_errors(path):
-        if not stat.S_ISDIR(os.stat(target.parent).st_mode):
-            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
-
-
-def save_chunks(path, chunks) -> None:
-    """Write the bytes-like ``chunks`` in turn beside ``path`` and rename the
-    result over ``path``, so a failed write leaves no partial file. A symlink
-    is written through (a dangling one creates its target); an existing target
-    must be a regular file and keeps its mode. Failures raise ``OSError``
-    ``cannot write <path>: <reason>``."""
+def check_output(path) -> tuple[Path, os.stat_result | None]:
+    """The file a write to ``path`` lands in and its stat, None for a new file:
+    a symlink is written through (a dangling one names its new target). A new
+    file needs a directory to hold it; an existing target must be a regular
+    file. Failures raise ``OSError`` ``cannot write <path>: <reason>``."""
     target = Path(path)
     with _write_errors(path):
         try:
@@ -287,8 +277,20 @@ def save_chunks(path, chunks) -> None:
                 st = os.stat(target)  # a symlink loop raises here
         except (FileNotFoundError, NotADirectoryError):  # a new file, or a dangling link's target
             st = None
+        if st is None and not stat.S_ISDIR(os.stat(target.parent).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
         if st is not None and not stat.S_ISREG(st.st_mode):  # never rename over a FIFO, device or directory
             raise OSError("not a regular file")
+    return target, st
+
+
+def save_chunks(path, chunks) -> None:
+    """Write the bytes-like ``chunks`` in turn beside ``path`` and rename the
+    result over the target :func:`check_output` resolves, so a failed write
+    leaves no partial file; an existing target keeps its mode. Failures raise
+    ``OSError`` ``cannot write <path>: <reason>``."""
+    target, st = check_output(path)
+    with _write_errors(path):
         tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
         f = open(tmp, "xb")  # a new file gets the mode a plain write gives
         try:

@@ -633,24 +633,36 @@ def test_missing_output_directory_names_the_target(workspace, capsys):
     assert capsys.readouterr().err == f"error: cannot write {out}: no such directory\n"
 
 
-@pytest.mark.parametrize("parent", ["missing", "cover.pgm"], ids=["missing-dir", "file-as-dir"])
+@pytest.mark.parametrize(
+    "target", ["missing-dir", "file-as-dir", "symlink-loop", "symlink-loop-force", "fifo-force", "dir-force"]
+)
 @pytest.mark.parametrize("command", ["embed", "extract", "metrics", "rs", "pdh", "compare"])
 def test_an_output_in_no_directory_is_refused_before_any_input_is_read(
-    workspace, capsys, monkeypatch, command, parent
+    workspace, capsys, monkeypatch, command, target
 ):
+    """Every target the write would refuse is refused first: one with no
+    directory to hold it, a symlink loop, and with --force a FIFO or a directory."""
     tmp, cover, _ = workspace
     covers = tmp / "covers"
     covers.mkdir()
     save_pgm(covers / "a.pgm", cover)
+    out = {"missing-dir": tmp / "missing" / "out", "file-as-dir": tmp / "cover.pgm" / "out"}.get(target, tmp / "out")
+    if target.startswith("symlink-loop"):
+        out.symlink_to(tmp / "loop")
+        (tmp / "loop").symlink_to(out)
+    elif target == "fifo-force":
+        os.mkfifo(out)
+    elif target == "dir-force":
+        out.mkdir()
     before = sorted(tmp.rglob("*"))
 
     def no_work(*args, **kwargs):
-        raise AssertionError("work started before the output's directory was checked")
+        raise AssertionError("work started before the output was checked")
 
     for attr in ("load_pgm", "load_raster", "PgmFile", "save_chunks"):
         monkeypatch.setattr(cli, attr, no_work)
     monkeypatch.setattr(cli.sweep, "run_sweep", no_work)
-    out, image = tmp / parent / "out", str(tmp / "cover.pgm")
+    image = str(tmp / "cover.pgm")
     argv = {
         "embed": _embed_args(tmp, out),
         "extract": ["extract", "--stego", image, "--out", str(out)],
@@ -659,8 +671,13 @@ def test_an_output_in_no_directory_is_refused_before_any_input_is_read(
         "pdh": ["pdh", "--image", image, "--csv", str(out)],
         "compare": ["compare", "--cover-dir", str(covers), "--payload", str(tmp / "payload.pgm"), "--csv", str(out)],
     }[command]
-    reason = "no such directory" if parent == "missing" else os.strerror(errno.ENOTDIR)
-    assert main(argv) == EXIT_IO
+    reason = {
+        "missing-dir": "no such directory",
+        "file-as-dir": os.strerror(errno.ENOTDIR),
+        "symlink-loop": os.strerror(errno.ELOOP),
+        "symlink-loop-force": os.strerror(errno.ELOOP),
+    }.get(target, "not a regular file")
+    assert main(argv + (["--force"] if target.endswith("-force") else [])) == EXIT_IO
     assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}\n")
     assert sorted(tmp.rglob("*")) == before
 
@@ -969,6 +986,43 @@ def test_out_of_memory_is_one_line_and_writes_nothing(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 298. GiB for an array\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_render_removes_only_the_directories_it_made(tmp_path, monkeypatch):
+    def corpus(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli.synth, "corpus", corpus)
+    (tmp_path / "kept").mkdir()
+    assert main(_corpus_args(tmp_path / "kept" / "a" / "b")) == 2
+    assert list(tmp_path.rglob("*")) == [tmp_path / "kept"]
+
+
+@pytest.mark.parametrize("target", ["file-as-out-dir", "symlink-loop-as-payload", "dir-as-cover-force"])
+def test_corpus_refuses_its_outputs_before_it_renders(tmp_path, capsys, monkeypatch, target):
+    """``corpus`` makes its directories and checks every output before it
+    renders a cover, with the message the write would give."""
+    out_dir = tmp_path / "corpus"
+    if target == "file-as-out-dir":
+        out_dir.write_bytes(b"")
+        expected = f"{out_dir}/covers: {os.strerror(errno.ENOTDIR)}"
+    elif target == "symlink-loop-as-payload":
+        (out_dir / "covers").mkdir(parents=True)
+        (out_dir / "payload.pgm").symlink_to(tmp_path / "loop")
+        (tmp_path / "loop").symlink_to(out_dir / "payload.pgm")
+        expected = f"cannot write {out_dir / 'payload.pgm'}: {os.strerror(errno.ELOOP)}"
+    else:
+        (out_dir / "covers" / "cover02.pgm").mkdir(parents=True)
+        expected = f"cannot write {out_dir / 'covers' / 'cover02.pgm'}: not a regular file"
+    before = sorted(tmp_path.rglob("*"))
+
+    def corpus(*args, **kwargs):
+        raise AssertionError("covers were rendered before every output was checked")
+
+    monkeypatch.setattr(cli.synth, "corpus", corpus)
+    assert main(_corpus_args(out_dir, *(["--force"] if target.endswith("-force") else []))) == EXIT_IO
+    assert capsys.readouterr() == ("", f"error: {expected}\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_bare_out_of_memory_has_no_dangling_colon(tmp_path, capsys, monkeypatch):

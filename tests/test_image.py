@@ -2,6 +2,7 @@ import ast
 import errno
 import io
 import os
+import stat
 import tempfile
 import weakref
 from pathlib import Path
@@ -23,9 +24,11 @@ from lbpstego.image import (
     PgmFile,
     PgmFormatError,
     PgmTruncatedError,
+    check_output,
     load_pgm,
     load_raster,
     pgm_chunks,
+    save_chunks,
     save_pgm,
     write_pgm,
 )
@@ -507,6 +510,90 @@ def test_only_image_writes_files():
     writes = {p.name: list(_file_writes(ast.parse(p.read_text()))) for p in sorted(src.glob("*.py"))}
     assert writes["image.py"]  # the pin finds the writer it guards
     assert {name: lines for name, lines in writes.items() if lines and name != "image.py"} == {}
+
+
+def _path_resolvers(tree):
+    """The top-level definition around each call in ``tree`` to ``lstat``,
+    ``realpath`` or ``islink``, the calls that resolve where a path leads."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("lstat", "realpath", "islink"):
+                    yield getattr(top, "name", None)
+
+
+def test_only_check_output_resolves_an_output_path():
+    """``image.check_output`` is the one rule for where a write lands: the
+    commands' pre-flight and ``save_chunks`` both call it, and no other code
+    resolves a path through ``os.lstat``, ``os.path.realpath`` or ``os.path.islink``."""
+    src = Path(image.__file__).parent
+    users = {p.name: sorted(set(_path_resolvers(ast.parse(p.read_text())))) for p in sorted(src.glob("*.py"))}
+    assert {name: found for name, found in users.items() if found} == {"image.py": ["check_output"]}
+
+
+def _make_target(root: Path, kind: str) -> Path:
+    """A path under the empty directory ``root`` of the given kind of write target."""
+    (root / "file").write_bytes(b"old")
+    path = root / "out"
+    if kind == "regular-file":
+        path.write_bytes(b"old")
+    elif kind == "symlink-to-file":
+        path.symlink_to(root / "file")
+    elif kind == "dangling-symlink":
+        path.symlink_to(root / "new")
+    elif kind == "symlink-loop":
+        path.symlink_to(root / "loop")
+        (root / "loop").symlink_to(path)
+    elif kind == "fifo":
+        os.mkfifo(path)
+    elif kind == "directory":
+        path.mkdir()
+    elif kind == "missing-directory":
+        path = root / "missing" / "out"
+    elif kind == "file-as-directory":
+        path = root / "file" / "out"
+    return path
+
+
+def _tree(root: Path) -> list:
+    """Every name under ``root`` with its kind, links not followed."""
+    return sorted((str(p.relative_to(root)), stat.S_IFMT(p.lstat().st_mode)) for p in root.rglob("*"))
+
+
+def _raised(call):
+    """The message ``call()`` raises as OSError, or None if it returns."""
+    try:
+        call()
+    except OSError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["new-file", "regular-file", "symlink-to-file", "dangling-symlink", "symlink-loop", "fifo", "directory",
+     "missing-directory", "file-as-directory"],
+)
+def test_check_output_refuses_exactly_what_save_chunks_refuses(tmp_path, kind):
+    """``check_output`` raises when, and with the message that, the write
+    raises, creates nothing, and names the file the write lands in."""
+    path = _make_target(tmp_path, kind)
+    before = _tree(tmp_path)
+    resolved = []
+    checked = _raised(lambda: resolved.append(check_output(path)))
+    assert _tree(tmp_path) == before
+    assert _raised(lambda: save_chunks(path, [b"x"])) == checked
+    refused = kind in ("symlink-loop", "fifo", "directory", "missing-directory", "file-as-directory")
+    assert (checked is not None) == refused
+    if refused:
+        assert checked.startswith(f"cannot write {path}: ")
+        assert _tree(tmp_path) == before
+    else:
+        [(target, st)] = resolved
+        assert target.read_bytes() == b"x"
+        assert (st is None) == (kind in ("new-file", "dangling-symlink"))
 
 
 def _header_parser_users(tree):
