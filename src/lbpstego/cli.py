@@ -266,6 +266,9 @@ def cmd_compare(args) -> None:
         with PgmFile(p) as cover:
             analysis.check_window(cover, p)
     payload = load_pgm(args.payload)
+    for p in paths:  # a payload some cell cannot carry is refused before the first cell runs
+        with PgmFile(p) as cover:
+            sweep.check_cells(cover, payload, methods, rates, args.mu)
     rows = []
     for p in paths:  # one cover in memory at a time; ``paths`` is in name order
         rows += sweep.run_sweep([(p.name, load_pgm(p))], payload, methods, rates, mu=args.mu, seed=args.seed)

@@ -239,14 +239,23 @@ def payload_budget(stream: int) -> int:
     return max(0, stream - HEADER_BYTES)
 
 
-def _frame(payload: GrayImage, mu: int, cap: int) -> np.ndarray:
-    """``payload`` as a (blocks, mu) stream: rows and cols (big-endian 16-bit each),
-    raster, zero padding; CapacityError if a side is over 65535 or it needs over ``cap``."""
-    if max(payload.pixels.shape) > MAX_PAYLOAD_SIDE:
+def check_fits(cover_shape: tuple[int, int], payload_shape: tuple[int, int], params: StegoParams) -> None:
+    """Raise what :func:`embed` raises if a ``payload_shape`` payload does not fit a
+    ``cover_shape`` cover, both (height, width), so headers can be asked: first
+    CoverTooSmallError (no complete block), then CapacityError (a side over 65535, or the stream)."""
+    cap = _n_blocks(*cover_shape) * params.mu
+    if cap == 0:
+        raise CoverTooSmallError(f"{cover_shape[0]}x{cover_shape[1]} cover has no complete 3x3 block")
+    if max(payload_shape) > MAX_PAYLOAD_SIDE:
         raise CapacityError(f"payload dimensions exceed {MAX_PAYLOAD_SIDE}")
+    if (size := HEADER_BYTES + payload_shape[0] * payload_shape[1]) > cap:
+        raise CapacityError(f"stream needs {size} bytes, cover holds {cap} at mu={params.mu}")
+
+
+def _frame(payload: GrayImage, mu: int) -> np.ndarray:
+    """``payload``, which :func:`check_fits` passed, as a (blocks, mu) stream:
+    rows and cols (big-endian 16-bit each), raster, zero padding."""
     size = stream_bytes(payload)
-    if size > cap:
-        raise CapacityError(f"stream needs {size} bytes, cover holds {cap} at mu={mu}")
     flat = np.zeros(-(-size // mu) * mu, dtype=np.uint8)
     flat[:HEADER_BYTES] = np.array(payload.pixels.shape, dtype=">u2").view(np.uint8)
     flat[HEADER_BYTES:size] = payload.pixels.reshape(-1)
@@ -284,11 +293,8 @@ def embed(
         out, flags = cover, cover.flags
         if out.ndim != 2 or out.dtype != np.uint8 or not (flags.writeable and flags.c_contiguous):
             raise ValueError("a cover array must be writable, C-ordered, 2-D and uint8")
-    height, width = out.shape
-    n_blocks = _n_blocks(height, width)
-    if n_blocks == 0:
-        raise CoverTooSmallError(f"{height}x{width} cover has no complete 3x3 block")
-    data = _frame(payload, params.mu, n_blocks * params.mu)
+    check_fits(out.shape, payload.pixels.shape, params)
+    data = _frame(payload, params.mu)
 
     for start, stop, tiles in _slabs(out, len(data)):
         _embed_slab(tiles, data[start:stop], params)

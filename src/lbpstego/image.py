@@ -267,9 +267,12 @@ def check_output(path) -> tuple[Path, os.stat_result | None]:
     """The file a write to ``path`` lands in and its stat, None for a new file:
     a symlink is written through (a dangling one names its new target). A new
     file needs a directory to hold it; an existing target must be a regular
-    file. Failures raise ``OSError`` ``cannot write <path>: <reason>``."""
+    file, and a path ending in a separator names a directory. Failures raise
+    ``OSError`` ``cannot write <path>: <reason>``."""
     target = Path(path)
     with _write_errors(path):
+        if os.fspath(path).endswith(os.sep):  # names a directory, which Path would forget
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         try:
             st = os.lstat(target)
             if stat.S_ISLNK(st.st_mode):  # write through a symlink, as a plain write does
@@ -291,7 +294,7 @@ def save_chunks(path, chunks) -> None:
     ``OSError`` ``cannot write <path>: <reason>``."""
     target, st = check_output(path)
     with _write_errors(path):
-        tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+        tmp = target.with_name(f".{os.urandom(8).hex()}.tmp")  # fixed length: any target name fits
         f = open(tmp, "xb")  # a new file gets the mode a plain write gives
         try:
             with f:

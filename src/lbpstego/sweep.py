@@ -14,7 +14,7 @@ import numpy as np
 
 from . import analysis, baselines, codec
 from .analysis import pdh_correlation  # metric_rows looks it up here, where the bench traces it
-from .image import GrayImage
+from .image import GrayImage, PgmFile
 
 # Method name to baseline, or None for the LBP codec; a baseline's seed is set per call.
 METHODS = {
@@ -41,7 +41,7 @@ def check_rate(rate: float) -> float:
 
 
 def crop_payload_to_rate(
-    payload: GrayImage, cover: GrayImage, params: codec.StegoParams, rate: float
+    payload: GrayImage, cover: GrayImage | PgmFile, params: codec.StegoParams, rate: float
 ) -> GrayImage:
     """Trim payload rows so header+body is about ``rate`` percent of stream capacity.
 
@@ -52,6 +52,17 @@ def crop_payload_to_rate(
     body = codec.payload_budget(int(cap * check_rate(rate) / 100.0))
     rows = min(payload.height, max(1, body // payload.width))
     return GrayImage(payload.pixels[:rows, :])
+
+
+def check_cells(cover: GrayImage | PgmFile, payload: GrayImage, methods, rates, mu: int = 1) -> None:
+    """Raise what the first failing cell of ``cover``'s sweep would raise, from its size
+    alone, so an open :class:`PgmFile` answers; a baseline cell never fails on size."""
+    for method in sorted(methods):
+        if METHODS[check_method(method)] is None:
+            params = codec.StegoParams(mu)
+            for rate in sorted(r for r in rates if r):  # rate 0 embeds nothing
+                cropped = crop_payload_to_rate(payload, cover, params, rate)
+                codec.check_fits((cover.height, cover.width), cropped.pixels.shape, params)
 
 
 def payload_bits(payload: GrayImage, count: int) -> np.ndarray:

@@ -115,6 +115,12 @@ class TestCapacityErrors:
         with pytest.raises(ValueError):
             baseline_embed(cover, [0] * 5, BaselineMethod("lsbm"))
 
+    @pytest.mark.parametrize("name", ["lsb1", "lsbm", "lsbmr"])
+    def test_embed_refuses_a_bit_of_2(self, name):
+        cover = GrayImage(np.full((4, 4), 100, dtype=np.uint8))
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            baseline_embed(cover, [0, 1, 2], METHODS[name])
+
     def test_extract_overflow(self):
         stego = GrayImage(np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(ValueError):

@@ -634,7 +634,8 @@ def test_missing_output_directory_names_the_target(workspace, capsys):
 
 
 @pytest.mark.parametrize(
-    "target", ["missing-dir", "file-as-dir", "symlink-loop", "symlink-loop-force", "fifo-force", "dir-force"]
+    "target",
+    ["missing-dir", "file-as-dir", "symlink-loop", "symlink-loop-force", "fifo-force", "dir-force", "trailing-sep"],
 )
 @pytest.mark.parametrize("command", ["embed", "extract", "metrics", "rs", "pdh", "compare"])
 def test_an_output_in_no_directory_is_refused_before_any_input_is_read(
@@ -646,7 +647,8 @@ def test_an_output_in_no_directory_is_refused_before_any_input_is_read(
     covers = tmp / "covers"
     covers.mkdir()
     save_pgm(covers / "a.pgm", cover)
-    out = {"missing-dir": tmp / "missing" / "out", "file-as-dir": tmp / "cover.pgm" / "out"}.get(target, tmp / "out")
+    out = {"missing-dir": tmp / "missing" / "out", "file-as-dir": tmp / "cover.pgm" / "out",
+           "trailing-sep": f"{tmp / 'out'}{os.sep}"}.get(target, tmp / "out")
     if target.startswith("symlink-loop"):
         out.symlink_to(tmp / "loop")
         (tmp / "loop").symlink_to(out)
@@ -676,6 +678,7 @@ def test_an_output_in_no_directory_is_refused_before_any_input_is_read(
         "file-as-dir": os.strerror(errno.ENOTDIR),
         "symlink-loop": os.strerror(errno.ELOOP),
         "symlink-loop-force": os.strerror(errno.ELOOP),
+        "trailing-sep": os.strerror(errno.EISDIR),
     }.get(target, "not a regular file")
     assert main(argv + (["--force"] if target.endswith("-force") else [])) == EXIT_IO
     assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}\n")
@@ -1172,3 +1175,82 @@ def test_an_existing_output_is_refused_before_any_input_is_read(workspace, capsy
     assert main(_embed_args(tmp, out)) == EXIT_EXISTS
     assert capsys.readouterr().err == f"error: {out} exists; pass --force to overwrite\n"
     assert out.read_bytes() == b"old stego bytes"
+
+
+@pytest.mark.parametrize("flag, message", [("--methods", "no methods given"), ("--rates", "no rates given")])
+def test_an_empty_list_is_refused_before_any_input_is_read(workspace, capsys, monkeypatch, flag, message):
+    """A list of only separators is no list: exit 2, before any path is looked at."""
+    tmp, _, _ = workspace
+    before = sorted(tmp.rglob("*"))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    for attr in ("load_pgm", "PgmFile", "save_chunks", "check_output"):
+        monkeypatch.setattr(cli, attr, no_work)
+    argv = ["compare", "--cover-dir", str(tmp / "missing"), "--payload", str(tmp / "payload.pgm"),
+            "--csv", str(tmp / "sweep.csv"), flag, ","]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(tmp.rglob("*")) == before
+
+
+def test_an_existing_directory_named_with_a_separator_is_refused(workspace, capsys):
+    """``results/`` names the directory, not a file ``results``: exit 7 without
+    --force, as for any existing output, and with it the write's own refusal."""
+    tmp, _, _ = workspace
+    (tmp / "results").mkdir()
+    before = sorted(tmp.rglob("*"))
+    out = f"{tmp / 'results'}{os.sep}"
+    argv = ["rs", "--image", str(tmp / "cover.pgm"), "--csv", out]
+    assert main(argv) == EXIT_EXISTS
+    assert capsys.readouterr().err == f"error: {out} exists; pass --force to overwrite\n"
+    assert main(argv + ["--force"]) == EXIT_IO
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: {os.strerror(errno.EISDIR)}\n")
+    assert sorted(tmp.rglob("*")) == before
+
+
+def test_an_output_name_of_name_max_bytes_is_written(workspace, capsys):
+    """The temp file beside the output has a name of its own length, so any
+    name the file system takes is written, and only it is left behind."""
+    tmp, _, _ = workspace
+    out = tmp / ("r" * os.pathconf(tmp, "PC_NAME_MAX"))
+    before = set(tmp.iterdir())
+    assert main(["rs", "--image", str(tmp / "cover.pgm"), "--csv", str(out)]) == EXIT_OK
+    assert set(tmp.iterdir()) - before == {out}
+    assert out.read_text().startswith("image,method,rate,metric,value\n")
+
+
+@pytest.mark.parametrize("case", ["mixed-corpus", "one-row-too-wide", "side-over-65535"])
+def test_compare_refuses_a_payload_a_cell_cannot_carry_before_the_first_cell(tmp_path, capsys, monkeypatch, case):
+    """Each cover's header and the payload's shape decide every ``proposed``
+    cell's fit: the line is the one the first failing cell would print, and
+    no cell runs before it."""
+    covers = tmp_path / "covers"
+    covers.mkdir()
+    named = list(zip(("a.pgm", "b.pgm"), synth.corpus(2, (64, 64), seed=2)))  # 441 blocks each
+    if case == "mixed-corpus":
+        named.append(("zz_small.pgm", synth.smooth_cover((32, 32), seed=1)))  # 100 blocks
+    for name, img in named:
+        save_pgm(covers / name, img)
+    shape, message = {
+        "mixed-corpus": ((128, 128), "stream needs 132 bytes, cover holds 100 at mu=1"),
+        "one-row-too-wide": ((1, 438), "stream needs 442 bytes, cover holds 441 at mu=1"),
+        "side-over-65535": ((1, 65536), "payload dimensions exceed 65535"),
+    }[case]
+    payload = GrayImage(np.random.default_rng(4).integers(0, 256, shape, dtype=np.uint8))
+    save_pgm(tmp_path / "payload.pgm", payload)
+    with pytest.raises(codec.CapacityError) as first_failure:  # the default methods and rates
+        sweep.run_sweep(named, payload, ["proposed", "lsb1", "lsbm", "lsbmr"], [10.0, 20.0, 30.0, 40.0, 50.0])
+    assert str(first_failure.value) == message
+    before = sorted(tmp_path.rglob("*"))
+
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran before the payload was checked")
+
+    monkeypatch.setattr(cli.sweep, "embed_at_rate", no_cell)
+    argv = ["compare", "--cover-dir", str(covers), "--payload", str(tmp_path / "payload.pgm"),
+            "--csv", str(tmp_path / "sweep.csv")]
+    assert main(argv) == EXIT_CAPACITY
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(tmp_path.rglob("*")) == before

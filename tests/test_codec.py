@@ -1,4 +1,6 @@
+import ast
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from lbpstego.codec import (
     CoverTooSmallError,
     StegoParams,
     capacity,
+    check_fits,
     clamp_cover,
     embed,
     extract,
@@ -386,6 +389,36 @@ class TestEmbedExtract:
         with pytest.raises(CapacityError):
             embed(cover, payload, StegoParams(4))
 
+    @pytest.mark.parametrize(
+        "cover_shape, payload_shape, mu, message",
+        [
+            ((9, 9), (1, 5), 1, None),  # exactly full
+            ((9, 9), (2, 3), 1, "stream needs 10 bytes, cover holds 9 at mu=1"),
+            ((64, 64), (1, 878), 2, None),
+            ((64, 64), (1, 879), 2, "stream needs 883 bytes, cover holds 882 at mu=2"),
+            ((2, 2), (1, 1), 1, "2x2 cover has no complete 3x3 block"),
+            ((2, 2), (1, 65536), 1, "2x2 cover has no complete 3x3 block"),
+            ((600, 600), (1, 65536), 4, "payload dimensions exceed 65535"),
+            ((9, 3), (65536, 1), 1, "payload dimensions exceed 65535"),
+        ],
+    )
+    def test_check_fits_agrees_with_embed(self, cover_shape, payload_shape, mu, message):
+        """The fit rule asked on shapes alone raises, or not, exactly as embed does."""
+
+        def outcome(call):
+            try:
+                call()
+            except (CapacityError, CoverTooSmallError) as exc:
+                return type(exc), str(exc)
+            return None
+
+        cover = GrayImage(np.full(cover_shape, 100, dtype=np.uint8))
+        payload = GrayImage(np.zeros(payload_shape, dtype=np.uint8))
+        params = StegoParams(mu)
+        expected = outcome(lambda: embed(cover, payload, params))
+        assert outcome(lambda: check_fits(cover_shape, payload_shape, params)) == expected
+        assert (expected and expected[1]) == message
+
     def test_extract_all_zero_image_is_corrupt(self):
         stego = GrayImage(np.zeros((9, 9), dtype=np.uint8))
         with pytest.raises(CorruptStreamError):
@@ -461,3 +494,27 @@ def test_stego_bytes_match_golden_digest(name, fill, mu, monkeypatch):
         monkeypatch.setattr(codec, "_SLAB_BLOCKS", slab)
         digest = hashlib.sha256(write_pgm(embed(cover, payload, params))).hexdigest()
         assert digest == GOLDEN_STEGO_SHA256[name, fill, mu], slab
+
+
+def _fit_errors(tree):
+    """(error, top-level definition) for each ``raise`` in ``tree`` of
+    ``CapacityError`` or ``CoverTooSmallError``, by name or as an attribute."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                func = node.exc.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("CapacityError", "CoverTooSmallError"):
+                    yield name, getattr(top, "name", None)
+
+
+def test_only_check_fits_decides_whether_a_payload_fits():
+    """``codec.check_fits`` is the one fit rule: ``embed`` and the sweep's
+    pre-flight both ask it, and only ``max_payload_shape`` (a cover that holds
+    no payload at all) raises ``CapacityError`` besides."""
+    src = Path(codec.__file__).parent
+    found = {p.name: sorted(set(_fit_errors(ast.parse(p.read_text())))) for p in sorted(src.glob("*.py"))}
+    assert {name: raised for name, raised in found.items() if raised} == {
+        "codec.py": [("CapacityError", "check_fits"), ("CapacityError", "max_payload_shape"),
+                     ("CoverTooSmallError", "check_fits")],
+    }

@@ -46,6 +46,10 @@ class TestGrayImage:
         with pytest.raises(ValueError):
             GrayImage(np.array([[-1, 0]]))
 
+    def test_rejects_a_float_array(self):
+        with pytest.raises(ValueError, match="pixel dtype must be integral, got float64"):
+            GrayImage(np.array([[0.0, 1.0]]))
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             GrayImage(np.zeros(4, dtype=np.uint8))
@@ -554,6 +558,11 @@ def _make_target(root: Path, kind: str) -> Path:
         path = root / "missing" / "out"
     elif kind == "file-as-directory":
         path = root / "file" / "out"
+    elif kind == "trailing-separator":
+        path = f"{path}{os.sep}"
+    elif kind == "name-max-file":
+        path = root / ("o" * os.pathconf(root, "PC_NAME_MAX"))
+        path.write_bytes(b"old")
     return path
 
 
@@ -574,7 +583,7 @@ def _raised(call):
 @pytest.mark.parametrize(
     "kind",
     ["new-file", "regular-file", "symlink-to-file", "dangling-symlink", "symlink-loop", "fifo", "directory",
-     "missing-directory", "file-as-directory"],
+     "missing-directory", "file-as-directory", "trailing-separator", "name-max-file"],
 )
 def test_check_output_refuses_exactly_what_save_chunks_refuses(tmp_path, kind):
     """``check_output`` raises when, and with the message that, the write
@@ -585,7 +594,8 @@ def test_check_output_refuses_exactly_what_save_chunks_refuses(tmp_path, kind):
     checked = _raised(lambda: resolved.append(check_output(path)))
     assert _tree(tmp_path) == before
     assert _raised(lambda: save_chunks(path, [b"x"])) == checked
-    refused = kind in ("symlink-loop", "fifo", "directory", "missing-directory", "file-as-directory")
+    refused = kind in ("symlink-loop", "fifo", "directory", "missing-directory", "file-as-directory",
+                       "trailing-separator")
     assert (checked is not None) == refused
     if refused:
         assert checked.startswith(f"cannot write {path}: ")
@@ -594,6 +604,15 @@ def test_check_output_refuses_exactly_what_save_chunks_refuses(tmp_path, kind):
         [(target, st)] = resolved
         assert target.read_bytes() == b"x"
         assert (st is None) == (kind in ("new-file", "dangling-symlink"))
+
+
+def test_save_chunks_writes_a_name_of_name_max_bytes(tmp_path):
+    """The temp file's name does not grow with the target's, so the longest
+    name the directory takes is written, and nothing else is left beside it."""
+    path = tmp_path / ("n" * os.pathconf(tmp_path, "PC_NAME_MAX"))
+    save_chunks(path, [b"ab", b"c"])
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == b"abc"
 
 
 def _header_parser_users(tree):

@@ -6,9 +6,10 @@ import pytest
 from lbpstego import analysis, sweep, synth
 from lbpstego.analysis import Reference, emit_csv
 from lbpstego.codec import HEADER_BYTES, StegoParams, capacity
-from lbpstego.image import GrayImage
+from lbpstego.image import GrayImage, PgmFile, save_pgm
 from lbpstego.sweep import (
     METHOD_NAMES,
+    check_cells,
     crop_payload_to_rate,
     embed_at_rate,
     payload_bits,
@@ -68,10 +69,60 @@ def test_unknown_method_rejected(cover, payload):
         embed_at_rate(cover, payload, "hugo", 10)
 
 
+def _outcome(call):
+    """(type, message) of the ValueError ``call()`` raises, or None if it returns."""
+    try:
+        call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "payload_shape, methods, rates, mu",
+    [
+        ((2, 10), ["lsb1", "proposed"], [50, 10], 1),
+        ((1, 60), ["proposed"], [100], 1),  # exactly full at every rate
+        ((1, 61), ["proposed", "lsb1", "lsbmr"], [10, 50], 1),  # one byte over
+        ((1, 125), ["lsbm", "proposed"], [30, 20], 2),
+        ((1, 65536), ["proposed"], [0, 10], 4),
+        ((1, 65536), ["lsb2", "lsbmr"], [10], 1),  # baseline cells do not fail on size
+        ((1, 61), ["zzz", "proposed"], [10], 1),
+        ((1, 61), ["aaa", "proposed"], [10], 1),
+        ((2, 10), ["proposed"], [10], 9),
+        ((2, 10), ["lsb1"], [10], 9),
+    ],
+)
+def test_check_cells_raises_what_the_first_failing_cell_raises(tmp_path, payload_shape, methods, rates, mu):
+    """Asked on a cover, or on its header alone, ``check_cells`` raises exactly
+    when, and what, the cover's sweep would raise."""
+    cover = synth.smooth_cover((24, 24), seed=1)  # 64 blocks
+    payload = GrayImage(np.full(payload_shape, 7, dtype=np.uint8))
+    expected = _outcome(lambda: run_sweep([("c.pgm", cover)], payload, methods, rates, mu=mu))
+    assert _outcome(lambda: check_cells(cover, payload, methods, rates, mu)) == expected
+    save_pgm(tmp_path / "c.pgm", cover)
+    with PgmFile(tmp_path / "c.pgm") as header:
+        assert _outcome(lambda: check_cells(header, payload, methods, rates, mu)) == expected
+
+
 def test_pdh_correlation_bounds(cover):
     assert pdh_correlation(cover, cover) == 1.0
     inverted = GrayImage(255 - cover.pixels)
     assert -1.0 <= pdh_correlation(cover, inverted) <= 1.0
+
+
+def test_pdh_correlation_of_a_flat_histogram():
+    """A row 0,255,0,254,...,0,1,0,0 holds each difference -255..255 once, so
+    its histogram has no variance: it correlates 1.0 with itself and 0.0 with
+    any other histogram."""
+    row = np.zeros((1, 512), dtype=np.uint8)
+    row[0, 1:510:2] = np.arange(255, 0, -1)
+    flat = GrayImage(row)
+    assert (analysis.pd_histogram(flat) == 1).all()
+    changed = row.copy()
+    changed[0, -1] = 1
+    assert pdh_correlation(flat, flat) == 1.0
+    assert pdh_correlation(flat, GrayImage(changed)) == 0.0
 
 
 def test_pdh_correlation_is_the_analysis_metric():
