@@ -19,7 +19,6 @@ from .image import (
     PgmFile,
     check_output,
     load_pgm,
-    load_raster,
     pgm_chunks,
     save_chunks,
     write_pgm,
@@ -131,10 +130,10 @@ def _parse_mask(text: str) -> np.ndarray:
 
 def cmd_embed(args) -> None:
     _refuse_output(args.out, args.force)
-    cover = load_raster(args.cover)  # not needed again: the stego is written into it
-    payload = load_pgm(args.payload)
-    params = codec.StegoParams(args.mu)
-    stego = codec.embed(cover, payload, params)
+    with PgmFile(args.cover) as cover:  # embed reads its raster only once the payload fits its header
+        payload = load_pgm(args.payload)
+        params = codec.StegoParams(args.mu)
+        stego = codec.embed(cover, payload, params)
     save_chunks(args.out, pgm_chunks(stego))
     stream = codec.stream_bytes(payload)
     print(

@@ -239,16 +239,16 @@ def payload_budget(stream: int) -> int:
     return max(0, stream - HEADER_BYTES)
 
 
-def check_fits(cover_shape: tuple[int, int], payload_shape: tuple[int, int], params: StegoParams) -> None:
-    """Raise what :func:`embed` raises if a ``payload_shape`` payload does not fit a
-    ``cover_shape`` cover, both (height, width), so headers can be asked: first
-    CoverTooSmallError (no complete block), then CapacityError (a side over 65535, or the stream)."""
-    cap = _n_blocks(*cover_shape) * params.mu
+def check_fits(cover: GrayImage | PgmFile, payload: GrayImage, params: StegoParams) -> None:
+    """Raise what :func:`embed` raises if ``payload`` does not fit ``cover``, from their
+    ``height`` and ``width`` alone, so headers can be asked: first CoverTooSmallError
+    (no complete block), then CapacityError (a side over 65535, or the stream)."""
+    cap = capacity(cover, params)
     if cap == 0:
-        raise CoverTooSmallError(f"{cover_shape[0]}x{cover_shape[1]} cover has no complete 3x3 block")
-    if max(payload_shape) > MAX_PAYLOAD_SIDE:
+        raise CoverTooSmallError(f"{cover.height}x{cover.width} cover has no complete 3x3 block")
+    if max(payload.height, payload.width) > MAX_PAYLOAD_SIDE:
         raise CapacityError(f"payload dimensions exceed {MAX_PAYLOAD_SIDE}")
-    if (size := HEADER_BYTES + payload_shape[0] * payload_shape[1]) > cap:
+    if (size := stream_bytes(payload)) > cap:
         raise CapacityError(f"stream needs {size} bytes, cover holds {cap} at mu={params.mu}")
 
 
@@ -274,26 +274,19 @@ def _unframe(head: np.ndarray, cap: int) -> tuple[tuple[int, int], int]:
     return (rows, cols), needed
 
 
-def embed(
-    cover: GrayImage | np.ndarray, payload: GrayImage, params: StegoParams
-) -> GrayImage:
-    """Hide ``payload`` inside ``cover``, returning the stego image.
+def embed(cover: GrayImage | PgmFile, payload: GrayImage, params: StegoParams) -> GrayImage:
+    """Hide ``payload`` inside ``cover``, returning the stego image; the cover
+    is left as it was.
 
-    A :class:`GrayImage` cover is left as it was. A cover given as a
-    writable, C-ordered ``(height, width)`` uint8 array is embedded into in
-    place and becomes the stego's pixels, read-only from then on; this saves
-    a cover-sized copy for a caller that does not keep the cover.
+    The fit is checked first, so from an open :class:`PgmFile` a payload that
+    does not fit is refused on the header alone; then its raster is read once,
+    into the buffer that becomes the stego's pixels.
 
     Blocks beyond the consumed stream are byte-identical to the cover;
     :func:`extract` with the same ``params`` recovers the payload exactly.
     """
-    if isinstance(cover, GrayImage):
-        out = cover.pixels.copy()
-    else:
-        out, flags = cover, cover.flags
-        if out.ndim != 2 or out.dtype != np.uint8 or not (flags.writeable and flags.c_contiguous):
-            raise ValueError("a cover array must be writable, C-ordered, 2-D and uint8")
-    check_fits(out.shape, payload.pixels.shape, params)
+    check_fits(cover, payload, params)
+    out = cover.pixels.copy() if isinstance(cover, GrayImage) else cover.raster()
     data = _frame(payload, params.mu)
 
     for start, stop, tiles in _slabs(out, len(data)):

@@ -224,6 +224,10 @@ class PgmFile:
         make writable."""
         return np.asarray(memoryview(self._read(stop)).toreadonly())
 
+    def raster(self) -> np.ndarray:
+        """Every row, in a new writable buffer that the caller owns."""
+        return self._read(self.height)
+
     def image(self) -> GrayImage:
         """Every row, as a read-only :class:`GrayImage` over the buffer they were read into."""
         return _adopt(self.rows(self.height))
@@ -245,13 +249,6 @@ def load_pgm(path) -> GrayImage:
         return f.image()
 
 
-def load_raster(path) -> np.ndarray:
-    """Read a PGM file into a writable ``(height, width)`` uint8 array that
-    views the buffer its rows were read into; the caller owns it."""
-    with PgmFile(path) as f:
-        return f._read(f.height)
-
-
 @contextlib.contextmanager
 def _write_errors(path):
     """Raise any OSError inside as ``cannot write <path>: <reason>``."""
@@ -267,11 +264,12 @@ def check_output(path) -> tuple[Path, os.stat_result | None]:
     """The file a write to ``path`` lands in and its stat, None for a new file:
     a symlink is written through (a dangling one names its new target). A new
     file needs a directory to hold it; an existing target must be a regular
-    file, and a path ending in a separator names a directory. Failures raise
-    ``OSError`` ``cannot write <path>: <reason>``."""
+    file, and a path ending in a separator, ``.`` or ``..`` names a directory.
+    Failures raise ``OSError`` ``cannot write <path>: <reason>``."""
     target = Path(path)
     with _write_errors(path):
-        if os.fspath(path).endswith(os.sep):  # names a directory, which Path would forget
+        # names a directory, though Path drops a trailing "/" or "/." ("d/" and "d/." become "d")
+        if os.fspath(path).endswith(os.sep) or os.path.basename(path) in (".", ".."):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         try:
             st = os.lstat(target)

@@ -62,7 +62,7 @@ def check_cells(cover: GrayImage | PgmFile, payload: GrayImage, methods, rates, 
             params = codec.StegoParams(mu)
             for rate in sorted(r for r in rates if r):  # rate 0 embeds nothing
                 cropped = crop_payload_to_rate(payload, cover, params, rate)
-                codec.check_fits((cover.height, cover.width), cropped.pixels.shape, params)
+                codec.check_fits(cover, cropped, params)
 
 
 def payload_bits(payload: GrayImage, count: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import errno
+import hashlib
 import os
 import re
 import shlex
@@ -322,7 +323,7 @@ def test_rs_and_pdh_check_the_header_before_reading_the_raster(tmp_path, capsys,
         raise AssertionError("a raster was read before the header was checked")
 
     monkeypatch.setattr(cli, "load_pgm", no_raster)
-    monkeypatch.setattr(cli.PgmFile, "_read", no_raster)  # every raster read: rows, image, load_raster
+    monkeypatch.setattr(cli.PgmFile, "_read", no_raster)  # every raster read: rows, image, raster
     assert main(argv + ["--image", str(image)]) == EXIT_CAPACITY
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
@@ -635,7 +636,8 @@ def test_missing_output_directory_names_the_target(workspace, capsys):
 
 @pytest.mark.parametrize(
     "target",
-    ["missing-dir", "file-as-dir", "symlink-loop", "symlink-loop-force", "fifo-force", "dir-force", "trailing-sep"],
+    ["missing-dir", "file-as-dir", "symlink-loop", "symlink-loop-force", "fifo-force", "dir-force", "trailing-sep",
+     "trailing-dot"],
 )
 @pytest.mark.parametrize("command", ["embed", "extract", "metrics", "rs", "pdh", "compare"])
 def test_an_output_in_no_directory_is_refused_before_any_input_is_read(
@@ -648,7 +650,7 @@ def test_an_output_in_no_directory_is_refused_before_any_input_is_read(
     covers.mkdir()
     save_pgm(covers / "a.pgm", cover)
     out = {"missing-dir": tmp / "missing" / "out", "file-as-dir": tmp / "cover.pgm" / "out",
-           "trailing-sep": f"{tmp / 'out'}{os.sep}"}.get(target, tmp / "out")
+           "trailing-sep": f"{tmp / 'out'}{os.sep}", "trailing-dot": f"{tmp / 'missing'}{os.sep}."}.get(target, tmp / "out")
     if target.startswith("symlink-loop"):
         out.symlink_to(tmp / "loop")
         (tmp / "loop").symlink_to(out)
@@ -661,7 +663,7 @@ def test_an_output_in_no_directory_is_refused_before_any_input_is_read(
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the output was checked")
 
-    for attr in ("load_pgm", "load_raster", "PgmFile", "save_chunks"):
+    for attr in ("load_pgm", "PgmFile", "save_chunks"):
         monkeypatch.setattr(cli, attr, no_work)
     monkeypatch.setattr(cli.sweep, "run_sweep", no_work)
     image = str(tmp / "cover.pgm")
@@ -679,6 +681,7 @@ def test_an_output_in_no_directory_is_refused_before_any_input_is_read(
         "symlink-loop": os.strerror(errno.ELOOP),
         "symlink-loop-force": os.strerror(errno.ELOOP),
         "trailing-sep": os.strerror(errno.EISDIR),
+        "trailing-dot": os.strerror(errno.EISDIR),
     }.get(target, "not a regular file")
     assert main(argv + (["--force"] if target.endswith("-force") else [])) == EXIT_IO
     assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}\n")
@@ -1208,6 +1211,67 @@ def test_an_existing_directory_named_with_a_separator_is_refused(workspace, caps
     assert main(argv + ["--force"]) == EXIT_IO
     assert capsys.readouterr() == ("", f"error: cannot write {out}: {os.strerror(errno.EISDIR)}\n")
     assert sorted(tmp.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
+    "cover_shape, payload_shape, message",
+    [
+        ((64, 64), (200, 200), "stream needs 40004 bytes, cover holds 441 at mu=1"),
+        ((2, 2), (5, 7), "2x2 cover has no complete 3x3 block"),
+    ],
+    ids=["over-capacity", "no-block"],
+)
+def test_embed_refuses_a_payload_that_does_not_fit_before_reading_the_cover_raster(
+    tmp_path, capsys, monkeypatch, cover_shape, payload_shape, message
+):
+    """The cover's header and the payload decide the fit: the payload's raster
+    is the only one read, and nothing is written."""
+    rng = np.random.default_rng(9)
+    save_pgm(tmp_path / "cover.pgm", GrayImage(rng.integers(0, 256, cover_shape, dtype=np.uint8)))
+    save_pgm(tmp_path / "payload.pgm", GrayImage(rng.integers(0, 256, payload_shape, dtype=np.uint8)))
+    before = sorted(tmp_path.rglob("*"))
+    read, raster_read = [], cli.PgmFile._read
+
+    def recording_read(self, stop):
+        read.append(Path(self._file.name).name)
+        return raster_read(self, stop)
+
+    monkeypatch.setattr(cli.PgmFile, "_read", recording_read)
+    assert main(_embed_args(tmp_path, tmp_path / "stego.pgm")) == EXIT_CAPACITY
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert read == ["payload.pgm"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_an_existing_directory_named_with_a_trailing_dot_is_refused(workspace, capsys):
+    """``results/.`` names the directory, as ``results/`` does: exit 7 without
+    --force, and with it the write's own refusal."""
+    tmp, _, _ = workspace
+    (tmp / "results").mkdir()
+    before = sorted(tmp.rglob("*"))
+    out = f"{tmp / 'results'}{os.sep}."
+    argv = ["rs", "--image", str(tmp / "cover.pgm"), "--csv", out]
+    assert main(argv) == EXIT_EXISTS
+    assert capsys.readouterr().err == f"error: {out} exists; pass --force to overwrite\n"
+    assert main(argv + ["--force"]) == EXIT_IO
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: {os.strerror(errno.EISDIR)}\n")
+    assert sorted(tmp.rglob("*")) == before
+
+
+# SHA-256 of the CSV that ``compare`` writes with its default flags over the
+# default ``corpus``, pinned so that any change to a sweep's output is deliberate.
+DEFAULT_COMPARE_CSV_SHA256 = "a93f443a787f4fdc9464ee8b00c1a5ef080e02cc1a7c7a7c69c6126e52115afc"
+
+
+def test_default_compare_over_the_default_corpus_writes_the_pinned_csv(tmp_path, capsys):
+    assert main(["corpus", "--out-dir", str(tmp_path)]) == EXIT_OK
+    csv_path = tmp_path / "sweep.csv"
+    argv = ["compare", "--cover-dir", str(tmp_path / "covers"), "--payload", str(tmp_path / "payload.pgm"),
+            "--csv", str(csv_path)]
+    assert main(argv) == EXIT_OK
+    data = csv_path.read_bytes()
+    assert data.count(b"\n") == 1 + 2400  # the header line, then 10 covers x 4 methods x 5 rates x 12 metrics
+    assert hashlib.sha256(data).hexdigest() == DEFAULT_COMPARE_CSV_SHA256
 
 
 def test_an_output_name_of_name_max_bytes_is_written(workspace, capsys):

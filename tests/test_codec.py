@@ -24,7 +24,7 @@ from lbpstego.codec import (
     shuffle_byte,
     sync_neighbor,
 )
-from lbpstego.image import GrayImage, write_pgm
+from lbpstego.image import GrayImage, PgmFile, save_pgm, write_pgm
 
 
 def gray(rows):
@@ -203,6 +203,11 @@ class TestClampCover:
         with pytest.raises(ValueError):
             clamp_cover(img, 2, StegoParams(1))
 
+    @pytest.mark.parametrize("used_blocks", [0, -1])
+    def test_no_used_block_returns_the_cover_itself(self, used_blocks):
+        img = gray([[0, 255, 100], [0, 5, 0], [254, 2, 253]])
+        assert clamp_cover(img, used_blocks, StegoParams(1)) is img
+
 
 class TestEmbedBlock:
     def test_tie_block_steps_all_neighbors_down(self):
@@ -275,6 +280,14 @@ class TestCapacity:
         for mu in (1, 2, 3, 4):
             assert capacity(img, StegoParams(mu)) == 0
 
+    @pytest.mark.parametrize("shape, mu", [((2, 2), 1), ((3, 3), 4), ((6, 3), 2)])
+    def test_max_payload_shape_of_a_cover_with_no_room(self, shape, mu):
+        """No block, or no more stream bytes than the size header takes."""
+        img = GrayImage(np.zeros(shape, dtype=np.uint8))
+        assert max_payload_bytes(img, StegoParams(mu)) == 0
+        with pytest.raises(CapacityError, match="cover cannot carry any payload"):
+            max_payload_shape(img, StegoParams(mu))
+
     def test_max_payload_shape_near_budget(self):
         img = GrayImage(np.zeros((512, 512), dtype=np.uint8))
         for mu in (1, 2, 3, 4):
@@ -311,7 +324,10 @@ class TestEmbedExtract:
             stego.pixels[0, 0] = 1
 
     @pytest.mark.parametrize("mu", [1, 2, 3, 4])
-    def test_cover_array_is_embedded_in_place_and_image_cover_is_not(self, mu):
+    def test_cover_array_is_embedded_in_place_and_image_cover_is_not(self, mu, tmp_path, monkeypatch):
+        """An open ``PgmFile`` cover gives the stego its ``GrayImage`` gives. Its
+        raster is read once, into an array that is embedded in place and adopted
+        by the stego; the file, like a ``GrayImage`` cover, is left as it was."""
         rng = np.random.default_rng(40 + mu)
         cover = GrayImage(rng.integers(0, 256, (31, 35), dtype=np.uint8))
         before = cover.pixels.copy()
@@ -319,25 +335,44 @@ class TestEmbedExtract:
         stego = embed(cover, payload, StegoParams(mu))
         assert np.array_equal(cover.pixels, before)
 
-        raster = before.copy()
-        in_place = embed(raster, payload, StegoParams(mu))
-        assert in_place.pixels is raster and in_place == stego
+        path = tmp_path / "cover.pgm"
+        save_pgm(path, cover)
+        read, raster = [], PgmFile.raster
+
+        def recording_raster(self):
+            read.append(raster(self))
+            return read[-1]
+
+        monkeypatch.setattr(PgmFile, "raster", recording_raster)
+        with PgmFile(path) as f:
+            from_file = embed(f, payload, StegoParams(mu))
+        assert from_file == stego and len(read) == 1 and from_file.pixels is read[0]
+        assert path.read_bytes() == write_pgm(cover)
         with pytest.raises(ValueError):
-            raster[0, 0] = 1
+            read[0][0, 0] = 1
 
     @pytest.mark.parametrize(
-        "raster",
+        "cover_shape, payload_shape, message",
         [
-            np.zeros((9, 9), dtype=np.uint8).T[:, ::2],
-            np.zeros((9, 9), dtype=np.int16),
-            np.zeros((9, 9, 1), dtype=np.uint8),
-            GrayImage(np.zeros((9, 9), dtype=np.uint8)).pixels,
+            ((64, 64), (200, 200), "stream needs 40004 bytes, cover holds 441 at mu=1"),
+            ((2, 2), (1, 1), "2x2 cover has no complete 3x3 block"),
+            ((9, 9), (1, 65536), "payload dimensions exceed 65535"),
         ],
-        ids=["strided", "int16", "3-d", "read-only"],
     )
-    def test_cover_array_must_be_writable_c_ordered_2d_uint8(self, raster):
-        with pytest.raises(ValueError, match="cover array"):
-            embed(raster, GrayImage(np.array([[7]], dtype=np.uint8)), StegoParams(1))
+    def test_file_cover_refuses_a_payload_before_its_raster_is_read(
+        self, cover_shape, payload_shape, message, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "cover.pgm"
+        save_pgm(path, GrayImage(np.full(cover_shape, 100, dtype=np.uint8)))
+        payload = GrayImage(np.zeros(payload_shape, dtype=np.uint8))
+
+        def no_raster(*args, **kwargs):
+            raise AssertionError("the cover's raster was read before the fit was checked")
+
+        monkeypatch.setattr(PgmFile, "_read", no_raster)
+        with PgmFile(path) as f, pytest.raises((CapacityError, CoverTooSmallError)) as refused:
+            embed(f, payload, StegoParams(1))
+        assert str(refused.value) == message
 
     def test_all_zero_payload_round_trip(self):
         rng = np.random.default_rng(1)
@@ -416,7 +451,7 @@ class TestEmbedExtract:
         payload = GrayImage(np.zeros(payload_shape, dtype=np.uint8))
         params = StegoParams(mu)
         expected = outcome(lambda: embed(cover, payload, params))
-        assert outcome(lambda: check_fits(cover_shape, payload_shape, params)) == expected
+        assert outcome(lambda: check_fits(cover, payload, params)) == expected
         assert (expected and expected[1]) == message
 
     def test_extract_all_zero_image_is_corrupt(self):

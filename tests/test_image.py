@@ -26,7 +26,6 @@ from lbpstego.image import (
     PgmTruncatedError,
     check_output,
     load_pgm,
-    load_raster,
     pgm_chunks,
     save_chunks,
     save_pgm,
@@ -84,6 +83,12 @@ class TestGrayImage:
         c = GrayImage(np.array([[1, 3]], dtype=np.uint8))
         assert a == b and a != c
         assert a != GrayImage(np.array([[1], [2]], dtype=np.uint8))
+
+    @pytest.mark.parametrize("other", [[[1, 2]], (1, 2), 1, None, "image"], ids=["list", "tuple", "int", "none", "str"])
+    def test_never_equals_what_is_not_an_image(self, other):
+        img = GrayImage(np.array([[1, 2]], dtype=np.uint8))
+        assert img.__eq__(other) is NotImplemented
+        assert (img == other) is False and img != other
 
 
 class TestReadPgm:
@@ -194,10 +199,11 @@ class TestLoadPgm:
 
     def test_loaded_raster_is_writable_and_private(self, tmp_path):
         save_pgm(tmp_path / "a.pgm", self.IMG)
-        raster = load_raster(tmp_path / "a.pgm")
-        assert np.array_equal(raster, self.IMG.pixels) and raster.flags.c_contiguous
-        raster[0, 0] = 99
-        assert load_raster(tmp_path / "a.pgm")[0, 0] == 0
+        with PgmFile(tmp_path / "a.pgm") as f:
+            raster = f.raster()
+            assert np.array_equal(raster, self.IMG.pixels) and raster.flags.c_contiguous
+            raster[0, 0] = 99
+            assert f.raster()[0, 0] == 0
 
     def test_file_that_shrinks_while_read_is_truncated(self, tmp_path, monkeypatch):
         path = tmp_path / "a.pgm"
@@ -454,6 +460,12 @@ def _assert_same_outcome(got, expect):
         assert got == expect
 
 
+def _load_through_raster(path) -> GrayImage:
+    """The image of ``path`` built from the writable rows ``PgmFile.raster`` hands over."""
+    with PgmFile(path) as f:
+        return GrayImage(f.raster())
+
+
 @settings(max_examples=300)
 @given(pgm_like_bytes(), st.integers(1, 24))
 def test_load_pgm_of_a_file_is_read_pgm_of_its_bytes(data, first_read):
@@ -463,7 +475,7 @@ def test_load_pgm_of_a_file_is_read_pgm_of_its_bytes(data, first_read):
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(image, "_HEAD_READ", first_read):
         path = Path(tmp) / "a.pgm"
         path.write_bytes(data)
-        for load in (load_pgm, lambda p: GrayImage(load_raster(p))):
+        for load in (load_pgm, _load_through_raster):
             _assert_same_outcome(_outcome(load, path), expect)
 
 
@@ -560,6 +572,10 @@ def _make_target(root: Path, kind: str) -> Path:
         path = root / "file" / "out"
     elif kind == "trailing-separator":
         path = f"{path}{os.sep}"
+    elif kind == "trailing-dot":
+        path = f"{path}{os.sep}."
+    elif kind == "trailing-dot-dot":
+        path = f"{path}{os.sep}.."
     elif kind == "name-max-file":
         path = root / ("o" * os.pathconf(root, "PC_NAME_MAX"))
         path.write_bytes(b"old")
@@ -583,7 +599,8 @@ def _raised(call):
 @pytest.mark.parametrize(
     "kind",
     ["new-file", "regular-file", "symlink-to-file", "dangling-symlink", "symlink-loop", "fifo", "directory",
-     "missing-directory", "file-as-directory", "trailing-separator", "name-max-file"],
+     "missing-directory", "file-as-directory", "trailing-separator", "trailing-dot", "trailing-dot-dot",
+     "name-max-file"],
 )
 def test_check_output_refuses_exactly_what_save_chunks_refuses(tmp_path, kind):
     """``check_output`` raises when, and with the message that, the write
@@ -595,7 +612,7 @@ def test_check_output_refuses_exactly_what_save_chunks_refuses(tmp_path, kind):
     assert _tree(tmp_path) == before
     assert _raised(lambda: save_chunks(path, [b"x"])) == checked
     refused = kind in ("symlink-loop", "fifo", "directory", "missing-directory", "file-as-directory",
-                       "trailing-separator")
+                       "trailing-separator", "trailing-dot", "trailing-dot-dot")
     assert (checked is not None) == refused
     if refused:
         assert checked.startswith(f"cannot write {path}: ")
@@ -604,6 +621,21 @@ def test_check_output_refuses_exactly_what_save_chunks_refuses(tmp_path, kind):
         [(target, st)] = resolved
         assert target.read_bytes() == b"x"
         assert (st is None) == (kind in ("new-file", "dangling-symlink"))
+
+
+@pytest.mark.parametrize("tail", [os.sep, f"{os.sep}.", f"{os.sep}.."], ids=["separator", "dot", "dot-dot"])
+@pytest.mark.parametrize("base", ["missing", "directory", "file"])
+def test_a_path_ending_in_a_separator_dot_or_dot_dot_names_a_directory(tmp_path, base, tail):
+    """Whatever its last name before them is, such a path names a directory,
+    never a file to write, and the check and the write both say so."""
+    (tmp_path / "directory").mkdir()
+    (tmp_path / "file").write_bytes(b"old")
+    path = f"{tmp_path / base}{tail}"
+    before = _tree(tmp_path)
+    refusal = f"cannot write {path}: {os.strerror(errno.EISDIR)}"
+    assert _raised(lambda: check_output(path)) == refusal
+    assert _raised(lambda: save_chunks(path, [b"x"])) == refusal
+    assert _tree(tmp_path) == before
 
 
 def test_save_chunks_writes_a_name_of_name_max_bytes(tmp_path):
@@ -627,7 +659,7 @@ def _header_parser_users(tree):
 
 def test_only_pgm_file_parses_a_pgm():
     """``PgmFile`` is the package's one PGM reader: no other code parses a
-    header or checks a raster's size; ``load_pgm`` and ``load_raster`` wrap it."""
+    header or checks a raster's size; ``load_pgm`` wraps it."""
     src = Path(image.__file__).parent
     users = {p.name: sorted(set(_header_parser_users(ast.parse(p.read_text())))) for p in sorted(src.glob("*.py"))}
     assert {name: found for name, found in users.items() if found} == {"image.py": ["PgmFile"]}
